@@ -57,6 +57,7 @@ let run_policy p policy =
   (* job completions come back to the hub *)
   let submit_times = Hashtbl.create 64 in
   let responses = ref [] in
+  let replied = ref 0 in
   let last_completion = ref 0.0 in
   Kernel.register_native k ~site:hub "job-back" (fun ctx bc ->
       match Briefcase.find_opt bc "JOB" with
@@ -65,6 +66,7 @@ let run_policy p policy =
         | Some t0 ->
           let now = Kernel.now ctx.Kernel.kernel in
           responses := (now -. t0) :: !responses;
+          incr replied;
           last_completion := max !last_completion now
         | None -> ())
       | None -> ());
@@ -90,7 +92,10 @@ let run_policy p policy =
                Briefcase.set bc "REPLY-AGENT" "job-back";
                Kernel.send_briefcase k ~src:hub ~dst ~contact:c.Policy.provider bc)))
   done;
-  Net.run ~until:36_000.0 net;
+  (* Every row field is final once the last job replies; the load monitors
+     would otherwise report until the horizon.  A job that never replies
+     still leaves the run capped at 36 000 s. *)
+  Net.run ~until:36_000.0 ~stop:(fun () -> !replied = p.jobs) net;
   let busy_per_cap =
     List.map (fun prov -> Provider.busy_time prov /. Provider.capacity prov) providers
   in

@@ -92,17 +92,31 @@ let rec peek_live t =
     peek_live t
   | other -> other
 
-let run ?until t =
-  match until with
-  | None -> while step t do () done
-  | Some stop ->
+(* [stop] gets a loop of its own, so a run without it calls no closure per
+   event. *)
+let run ?until ?stop t =
+  match (stop, until) with
+  | None, None -> while step t do () done
+  | None, Some limit ->
     let continue = ref true in
     while !continue do
       match peek_live t with
-      | Some ev when ev.time <= stop -> if not (step t) then continue := false
+      | Some ev when ev.time <= limit -> if not (step t) then continue := false
       | Some _ | None ->
-        t.clock <- max t.clock stop;
+        t.clock <- max t.clock limit;
         continue := false
+    done
+  | Some stop, _ ->
+    let limit = Option.value until ~default:infinity in
+    let continue = ref true in
+    while !continue do
+      if stop () then continue := false
+      else
+        match peek_live t with
+        | Some ev when ev.time <= limit -> ignore (step t)
+        | Some _ | None ->
+          Option.iter (fun u -> t.clock <- max t.clock u) until;
+          continue := false
     done
 
 let pending t = t.live_count

@@ -31,11 +31,16 @@ val cancel : timer -> unit
 val step : t -> bool
 (** Run the next event.  [false] if the queue was empty. *)
 
-val run : ?until:float -> t -> unit
+val run : ?until:float -> ?stop:(unit -> bool) -> t -> unit
 (** Drain the queue; with [until], stop once the next {e live} event lies
     beyond that time (the clock is then advanced to [until]).  Cancelled
     entries at the head of the queue are discarded, never counted as the
-    next event. *)
+    next event.
+
+    [stop] is checked before every event; once it returns [true] the run
+    returns with the clock at the last fired event, not advanced to
+    [until].  Events still queued stay pending and a later [run] fires them
+    in order.  [until] remains the hard cap. *)
 
 val pending : t -> int
 (** Number of not-yet-fired, not-cancelled events. *)

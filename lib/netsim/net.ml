@@ -448,5 +448,5 @@ let set_link_degraded t a b factors =
 
 let link_degraded t a b = Hashtbl.find_opt t.link_degrade (key a b)
 
-let run ?until t = Engine.run ?until t.engine
+let run ?until ?stop t = Engine.run ?until ?stop t.engine
 let schedule t ~after f = Engine.schedule t.engine ~after f

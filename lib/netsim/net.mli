@@ -116,5 +116,7 @@ val link_degraded : t -> Site.id -> Site.id -> (float * float) option
 
 (** {1 Convenience} *)
 
-val run : ?until:float -> t -> unit
+val run : ?until:float -> ?stop:(unit -> bool) -> t -> unit
+(** {!Engine.run} on the network's engine. *)
+
 val schedule : t -> after:float -> (unit -> unit) -> Engine.timer

@@ -257,6 +257,19 @@ let test_registry_complete () =
   Alcotest.(check bool) "find case-insensitive" true (Experiments.Registry.find "E4" <> None);
   Alcotest.(check bool) "unknown id" true (Experiments.Registry.find "e99" = None)
 
+let test_ablation_a1_shape () =
+  (* staler load reports, slower least-loaded responses *)
+  let rows = Experiments.Ablations.run_a1 () in
+  check Alcotest.(list string) "periods" [ "0.1s"; "0.5s"; "2s"; "8s"; "once" ]
+    (List.map (fun r -> r.Experiments.Ablations.period) rows);
+  let means = List.map (fun r -> r.Experiments.Ablations.mean_response) rows in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "mean response strictly increases with staleness" true
+    (increasing means)
+
 let test_ablation_a4_shape () =
   (* more shipped code, smaller advantage *)
   let rows = Experiments.Ablations.run_a4 () in
@@ -343,6 +356,7 @@ let () =
         ] );
       ( "ablations",
         [
+          Alcotest.test_case "a1 report staleness" `Slow test_ablation_a1_shape;
           Alcotest.test_case "a3 horus group" `Slow test_ablation_a3_shape;
           Alcotest.test_case "a4 code size" `Slow test_ablation_a4_shape;
           Alcotest.test_case "a5 routed lookup" `Quick test_ablation_a5_shape;

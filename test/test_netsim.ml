@@ -99,6 +99,62 @@ let test_engine_run_until_skips_cancelled_head () =
   check Alcotest.(list int) "late event still fires" [ 5 ] !fired;
   check (Alcotest.float 1e-9) "clock at late event" 5.0 (Engine.now e)
 
+(* [run ~stop]: a predicate checked before every event *)
+
+let test_engine_stop_already_true () =
+  let e = Engine.create () in
+  let fired = ref false in
+  ignore (Engine.schedule e ~after:1.0 (fun () -> fired := true));
+  Engine.run ~until:10.0 ~stop:(fun () -> true) e;
+  Alcotest.(check bool) "nothing fired" false !fired;
+  check (Alcotest.float 1e-9) "clock not advanced" 0.0 (Engine.now e);
+  check Alcotest.int "event still pending" 1 (Engine.pending e)
+
+(* "c" and "d" share a time, so resuming must keep their scheduling order *)
+let stop_after_two e =
+  let log = ref [] in
+  List.iter
+    (fun (id, at) -> ignore (Engine.schedule_at e ~at (fun () -> log := id :: !log)))
+    [ ("a", 3.0); ("b", 1.0); ("c", 2.0); ("d", 2.0); ("e", 4.0) ];
+  (log, fun () -> List.length !log = 2)
+
+let test_engine_stop_clock_and_resume ~until () =
+  let e = Engine.create () in
+  let log, stop = stop_after_two e in
+  Engine.run ?until ~stop e;
+  check Alcotest.(list string) "stopped after two" [ "b"; "c" ] (List.rev !log);
+  check (Alcotest.float 1e-9) "clock at last fired event" 2.0 (Engine.now e);
+  check Alcotest.int "rest pending" 3 (Engine.pending e);
+  Engine.run e;
+  check Alcotest.(list string) "resumed in (time, seq) order" [ "b"; "c"; "d"; "a"; "e" ]
+    (List.rev !log)
+
+let test_engine_stop_never_true_hits_until () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  ignore (Engine.schedule e ~after:1.0 (fun () -> fired := 1 :: !fired));
+  ignore (Engine.schedule e ~after:5.0 (fun () -> fired := 5 :: !fired));
+  Engine.run ~until:2.0 ~stop:(fun () -> false) e;
+  check Alcotest.(list int) "only early event" [ 1 ] !fired;
+  check (Alcotest.float 1e-9) "clock advanced to until" 2.0 (Engine.now e)
+
+let test_engine_stop_cancelled_head () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  ignore (Engine.schedule e ~after:1.0 (fun () -> fired := 1 :: !fired));
+  let dead = Engine.schedule e ~after:2.0 (fun () -> fired := 2 :: !fired) in
+  ignore (Engine.schedule e ~after:3.0 (fun () -> fired := 3 :: !fired));
+  Engine.cancel dead;
+  Engine.run ~until:10.0 ~stop:(fun () -> !fired <> []) e;
+  check Alcotest.(list int) "stopped after first" [ 1 ] !fired;
+  check (Alcotest.float 1e-9) "clock at first event" 1.0 (Engine.now e);
+  (* only cancelled entries left: a never-true [stop] still ends the run *)
+  let e = Engine.create () in
+  Engine.cancel (Engine.schedule e ~after:1.0 ignore);
+  Engine.run ~stop:(fun () -> false) e;
+  check (Alcotest.float 1e-9) "clock unchanged" 0.0 (Engine.now e);
+  check Alcotest.int "nothing pending" 0 (Engine.pending e)
+
 let test_engine_compaction () =
   let metrics = Obs.Metrics.create () in
   let e = Engine.create ~metrics () in
@@ -654,6 +710,14 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_clamped;
           Alcotest.test_case "run until skips cancelled head" `Quick
             test_engine_run_until_skips_cancelled_head;
+          Alcotest.test_case "stop already true" `Quick test_engine_stop_already_true;
+          Alcotest.test_case "stop with until" `Quick
+            (test_engine_stop_clock_and_resume ~until:(Some 10.0));
+          Alcotest.test_case "stop without until" `Quick
+            (test_engine_stop_clock_and_resume ~until:None);
+          Alcotest.test_case "stop never true hits until" `Quick
+            test_engine_stop_never_true_hits_until;
+          Alcotest.test_case "stop past cancelled head" `Quick test_engine_stop_cancelled_head;
           Alcotest.test_case "compaction sheds dead entries" `Quick test_engine_compaction;
           Alcotest.test_case "no compaction below floor" `Quick
             test_engine_no_compaction_below_floor;
