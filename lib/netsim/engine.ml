@@ -92,32 +92,18 @@ let rec peek_live t =
     peek_live t
   | other -> other
 
-(* [stop] gets a loop of its own, so a run without it calls no closure per
-   event. *)
-let run ?until ?stop t =
-  match (stop, until) with
-  | None, None -> while step t do () done
-  | None, Some limit ->
-    let continue = ref true in
-    while !continue do
+let run ?until ?(stop = fun () -> false) t =
+  let limit = Option.value until ~default:infinity in
+  let continue = ref true in
+  while !continue do
+    if stop () then continue := false
+    else
       match peek_live t with
-      | Some ev when ev.time <= limit -> if not (step t) then continue := false
+      | Some ev when ev.time <= limit -> ignore (step t)
       | Some _ | None ->
-        t.clock <- max t.clock limit;
+        Option.iter (fun u -> t.clock <- max t.clock u) until;
         continue := false
-    done
-  | Some stop, _ ->
-    let limit = Option.value until ~default:infinity in
-    let continue = ref true in
-    while !continue do
-      if stop () then continue := false
-      else
-        match peek_live t with
-        | Some ev when ev.time <= limit -> ignore (step t)
-        | Some _ | None ->
-          Option.iter (fun u -> t.clock <- max t.clock u) until;
-          continue := false
-    done
+  done
 
 let pending t = t.live_count
 let compactions t = t.compaction_count

@@ -148,6 +148,18 @@ let test_engine_stop_cancelled_head () =
   Engine.run ~until:10.0 ~stop:(fun () -> !fired <> []) e;
   check Alcotest.(list int) "stopped after first" [ 1 ] !fired;
   check (Alcotest.float 1e-9) "clock at first event" 1.0 (Engine.now e);
+  (* a cancelled head before [until] with a live event beyond it: the run
+     still ends at [until] without firing the late event *)
+  let e = Engine.create () in
+  let fired = ref [] in
+  ignore (Engine.schedule e ~after:1.0 (fun () -> fired := 1 :: !fired));
+  let dead = Engine.schedule e ~after:2.0 (fun () -> fired := 2 :: !fired) in
+  ignore (Engine.schedule e ~after:15.0 (fun () -> fired := 15 :: !fired));
+  Engine.cancel dead;
+  Engine.run ~until:10.0 ~stop:(fun () -> false) e;
+  check Alcotest.(list int) "only the early event" [ 1 ] !fired;
+  check (Alcotest.float 1e-9) "clock at until" 10.0 (Engine.now e);
+  check Alcotest.int "late event pending" 1 (Engine.pending e);
   (* only cancelled entries left: a never-true [stop] still ends the run *)
   let e = Engine.create () in
   Engine.cancel (Engine.schedule e ~after:1.0 ignore);
