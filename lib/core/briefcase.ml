@@ -1,4 +1,7 @@
-type t = (string, Folder.t) Hashtbl.t
+(* Folders sorted by name, which is also their wire order.  A briefcase
+   holds a handful of folders, so a list is cheaper than a hash table to
+   build, copy and walk on every message. *)
+type t = { mutable folders : (string * Folder.t) list }
 
 let host_folder = "HOST"
 let contact_folder = "CONTACT"
@@ -7,27 +10,40 @@ let code_ref_folder = "CODE-REF"
 let sites_folder = "SITES"
 let trace_folder = "TRACE"
 
-let create () : t = Hashtbl.create 8
+let create () = { folders = [] }
+
+let folder_opt t name =
+  let rec find = function
+    | [] -> None
+    | (n, f) :: rest ->
+      let c = String.compare n name in
+      if c = 0 then Some f else if c > 0 then None else find rest
+  in
+  find t.folders
+
+(* [f] under [name], in place of any folder already there *)
+let put t name f =
+  let rec go = function
+    | [] -> [ (name, f) ]
+    | ((n, _) as x) :: rest as l ->
+      let c = String.compare n name in
+      if c < 0 then x :: go rest else if c = 0 then (name, f) :: rest else (name, f) :: l
+  in
+  t.folders <- go t.folders
 
 let folder t name =
-  match Hashtbl.find_opt t name with
+  match folder_opt t name with
   | Some f -> f
   | None ->
     let f = Folder.create () in
-    Hashtbl.replace t name f;
+    put t name f;
     f
 
-let folder_opt t name = Hashtbl.find_opt t name
-let mem t name = Hashtbl.mem t name
-let remove t name = Hashtbl.remove t name
-let names t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
-
-let copy t =
-  let c = Hashtbl.create (Hashtbl.length t) in
-  Hashtbl.iter (fun name f -> Hashtbl.replace c name (Folder.copy f)) t;
-  c
-
-let clear t = Hashtbl.reset t
+let mem t name = Option.is_some (folder_opt t name)
+let remove t name = t.folders <- List.filter (fun (n, _) -> n <> name) t.folders
+let names t = List.map fst t.folders
+let copy t = { folders = List.map (fun (n, f) -> (n, Folder.copy f)) t.folders }
+let clear t = t.folders <- []
 
 let set t name v = Folder.replace (folder t name) [ v ]
 let find_opt t name = Option.bind (folder_opt t name) Folder.peek
@@ -40,40 +56,50 @@ let get_exn = get
 let byte_size t =
   (* mirrors [serialize]: 4-byte folder count, then per folder the encoded
      name and encoded element list *)
-  Hashtbl.fold
-    (fun name f acc ->
+  List.fold_left
+    (fun acc (name, f) ->
       acc + Codec.encoded_size name + 4
       + Folder.fold (fun a e -> a + Codec.encoded_size e) 0 f)
-    t 4
+    4 t.folders
 
 (* 4-byte folder count, then folders in name order for deterministic wires *)
 let serialize t =
-  let names_sorted = names t in
   let buf = Buffer.create 256 in
-  Codec.encode_u32 buf (List.length names_sorted);
+  Codec.encode_u32 buf (List.length t.folders);
   List.iter
-    (fun name ->
+    (fun (name, f) ->
       Codec.encode_string buf name;
-      Codec.encode_strings buf (Folder.to_list (folder t name)))
-    names_sorted;
+      Codec.encode_strings buf (Folder.to_list f))
+    t.folders;
   Buffer.contents buf
 
 let deserialize s =
   let r = Codec.reader s in
-  let t = create () in
   let n = Codec.read_u32 r in
-  for _ = 1 to n do
-    let name = Codec.read_string r in
-    let elems = Codec.read_strings r in
-    Folder.replace (folder t name) elems
-  done;
-  t
+  let rec read i acc =
+    if i = n then acc
+    else
+      let name = Codec.read_string r in
+      read (i + 1) ((name, Folder.of_list (Codec.read_strings r)) :: acc)
+  in
+  let rec descending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b > 0 && descending rest
+    | [ _ ] | [] -> true
+  in
+  let last_first = read 0 [] in
+  if descending last_first then { folders = List.rev last_first }
+  else begin
+    (* not [serialize]'s order: the last folder of each name wins *)
+    let t = create () in
+    List.iter (fun (name, f) -> put t name f) (List.rev last_first);
+    t
+  end
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
   List.iter
-    (fun name ->
+    (fun (name, f) ->
       Format.fprintf fmt "%s: [%s]@," name
-        (String.concat "; " (List.map (Printf.sprintf "%S") (Folder.to_list (folder t name)))))
-    (names t);
+        (String.concat "; " (List.map (Printf.sprintf "%S") (Folder.to_list f))))
+    t.folders;
   Format.fprintf fmt "@]"

@@ -7,6 +7,23 @@ type site_state = {
   mutable restart_hooks : (unit -> unit) list;
 }
 
+(* One topology link, resolved at [create] and shared by the adjacency
+   arrays of both its ends: every per-hop step reads this record. *)
+type link = {
+  lo : int;
+  hi : int; (* endpoints, lo < hi *)
+  id : int; (* index into the per-link byte counts of [Netstats] *)
+  base : Topology.link;
+  mutable latency : float; (* base latency and bandwidth, scaled by a *)
+  mutable bandwidth : float; (* chaos degradation window *)
+  mutable degrade : (float * float) option;
+  mutable enabled : bool;
+  mutable loss : float option; (* chaos: extra per-link loss *)
+  mutable busy_until : float; (* FIFO serialisation *)
+  bytes : int ref Lazy.t; (* net.link.bytes and net.link.wait_s, resolved *)
+  wait : Obs.Hist.t Lazy.t; (* on first traffic so dumps list only used links *)
+}
+
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -17,41 +34,89 @@ type t = {
   trace : Trace.t;
   metrics : Obs.Metrics.t;
   site_states : site_state array;
-  disabled_links : (int * int, unit) Hashtbl.t;
-  link_loss : (int * int, float) Hashtbl.t; (* chaos: extra per-link loss *)
-  link_degrade : (int * int, float * float) Hashtbl.t;
-      (* chaos: (latency multiplier, bandwidth multiplier) per link *)
+  adj : link array array; (* per site, in [Topology.neighbors] order *)
+  mutable disabled : int; (* links with [enabled = false] *)
+  mutable lossy : int; (* links with a [loss] *)
   mutable loss_override : float option; (* chaos: window replacing loss_rate *)
-  link_busy_until : (int * int, float) Hashtbl.t; (* FIFO serialisation per link *)
-  mutable generation : int; (* bumped on any reachability change *)
-  route_cache : (int, (float * int list) option array * int) Hashtbl.t;
-      (* src -> (per-dst delay/path, generation) *)
+  routes : (float * int list) option array option array;
+      (* src -> per-dst delay/path; emptied on any reachability change *)
+  sent : int ref Lazy.t;
+  delivered : int ref Lazy.t;
+  msg_hops : Obs.Hist.t Lazy.t;
+  delivery_latency : Obs.Hist.t Lazy.t;
 }
+
+let other l u = if l.lo = u then l.hi else l.lo
+
+let find_link adj a b =
+  let ls = adj.(a) in
+  let rec go i =
+    if i = Array.length ls then None else if other ls.(i) a = b then Some ls.(i) else go (i + 1)
+  in
+  go 0
+
+(* Sites in increasing order: a link to a smaller site already sits in that
+   site's array, so both ends share one record. *)
+let resolve_links topo metrics n =
+  let adj = Array.make n [||] and count = ref 0 in
+  let make a b =
+    let base = Option.get (Topology.link topo a b) in
+    let lo = min a b and hi = max a b in
+    let labels () = [ ("link", string_of_int lo ^ "-" ^ string_of_int hi) ] in
+    incr count;
+    {
+      lo;
+      hi;
+      id = !count - 1;
+      base;
+      latency = base.latency;
+      bandwidth = base.bandwidth;
+      degrade = None;
+      enabled = true;
+      loss = None;
+      busy_until = 0.0;
+      bytes = lazy (Obs.Metrics.counter_cell metrics ~labels:(labels ()) "net.link.bytes");
+      wait = lazy (Obs.Metrics.hist metrics ~labels:(labels ()) "net.link.wait_s");
+    }
+  in
+  for u = 0 to n - 1 do
+    adj.(u) <-
+      Array.of_list
+        (List.map
+           (fun v -> if v < u then Option.get (find_link adj v u) else make u v)
+           (Topology.neighbors topo u))
+  done;
+  let ends = Array.make !count (0, 0) in
+  Array.iter (Array.iter (fun l -> ends.(l.id) <- (l.lo, l.hi))) adj;
+  (adj, ends)
 
 let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
   if loss_rate < 0.0 || loss_rate >= 1.0 then invalid_arg "Net.create: loss_rate must be in [0,1)";
   let n = Topology.site_count topo in
   let rng = Rng.create seed in
   let metrics = Obs.Metrics.create () in
+  let adj, ends = resolve_links topo metrics n in
   {
     engine = Engine.create ~metrics ();
     topo;
     loss_rng = Rng.split rng;
     loss_rate;
     rng;
-    stats = Netstats.create ();
+    stats = Netstats.create ~links:ends ();
     trace = Trace.create ~enabled:trace ();
     metrics;
     site_states =
       Array.init n (fun _ ->
           { up = true; handlers = []; crash_hooks = []; restart_hooks = [] });
-    disabled_links = Hashtbl.create 8;
-    link_loss = Hashtbl.create 8;
-    link_degrade = Hashtbl.create 8;
+    adj;
+    disabled = 0;
+    lossy = 0;
     loss_override = None;
-    link_busy_until = Hashtbl.create 64;
-    generation = 0;
-    route_cache = Hashtbl.create 16;
+    routes = Array.make n None;
+    sent = lazy (Obs.Metrics.counter_cell metrics "net.sent");
+    delivered = lazy (Obs.Metrics.counter_cell metrics "net.delivered");
+    msg_hops = lazy (Obs.Metrics.hist metrics "net.msg_hops");
+    delivery_latency = lazy (Obs.Metrics.hist metrics "net.delivery_latency_s");
   }
 
 let engine t = t.engine
@@ -78,32 +143,18 @@ let clear_handler t s ~key =
   st.handlers <- List.remove_assoc key st.handlers
 let site_up t s = (state t s).up
 
-let key a b = if a < b then (a, b) else (b, a)
+(* Any reachability change invalidates every cached route at once. *)
+let invalidate_routes t = Array.fill t.routes 0 (Array.length t.routes) None
 
-(* Any reachability change invalidates every cached route at once.  Clear
-   the rows eagerly: stale-generation rows would otherwise sit in the table
-   until the same source happens to route again, so a long chaos run that
-   churns links grows the cache without bound. *)
-let bump_generation t =
-  t.generation <- t.generation + 1;
-  Hashtbl.reset t.route_cache
+let route_cache_size t =
+  Array.fold_left (fun n r -> if Option.is_some r then n + 1 else n) 0 t.routes
 
-let route_cache_size t = Hashtbl.length t.route_cache
+let link_enabled t a b =
+  match find_link t.adj a b with Some l -> l.enabled | None -> true
 
-let link_enabled t a b = not (Hashtbl.mem t.disabled_links (key a b))
-
-(* Chaos degradation windows scale a link's parameters without touching the
-   topology itself: latency is multiplied, bandwidth is multiplied (a factor
-   below 1.0 slows the link down). *)
-let effective_latency t a b (l : Topology.link) =
-  match Hashtbl.find_opt t.link_degrade (key a b) with
-  | None -> l.latency
-  | Some (lm, _) -> l.latency *. lm
-
-let effective_bandwidth t a b (l : Topology.link) =
-  match Hashtbl.find_opt t.link_degrade (key a b) with
-  | None -> l.bandwidth
-  | Some (_, bm) -> l.bandwidth *. bm
+(* The link a route crosses from [a] to [b]: routes only follow links. *)
+let link_on_route t a b =
+  match find_link t.adj a b with Some l -> l | None -> assert false
 
 (* Dijkstra over latency, skipping disabled links.  A down site may be
    reached (it can be a message destination — liveness is re-checked at
@@ -111,12 +162,12 @@ let effective_bandwidth t a b (l : Topology.link) =
    network) but must not forward traffic: we never relax the edges of a
    down vertex other than the source. *)
 let dijkstra t src =
-  let n = Topology.site_count t.topo in
+  let n = Array.length t.adj in
   let dist = Array.make n infinity in
   let prev = Array.make n (-1) in
   let visited = Array.make n false in
   dist.(src) <- 0.0;
-  let heap = Tacoma_util.Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
+  let heap = Tacoma_util.Heap.create ~cmp:(fun (a, _) (b, _) -> Float.compare a b) in
   Tacoma_util.Heap.push heap (0.0, src);
   let rec loop () =
     match Tacoma_util.Heap.pop heap with
@@ -125,19 +176,18 @@ let dijkstra t src =
       if not visited.(u) then begin
         visited.(u) <- true;
         if (state t u).up || u = src then
-          List.iter
-            (fun v ->
-              if link_enabled t u v then
-                match Topology.link t.topo u v with
-                | None -> ()
-                | Some l ->
-                  let nd = d +. effective_latency t u v l in
-                  if nd < dist.(v) then begin
-                    dist.(v) <- nd;
-                    prev.(v) <- u;
-                    Tacoma_util.Heap.push heap (nd, v)
-                  end)
-            (Topology.neighbors t.topo u)
+          Array.iter
+            (fun l ->
+              if l.enabled then begin
+                let v = other l u in
+                let nd = d +. l.latency in
+                if nd < dist.(v) then begin
+                  dist.(v) <- nd;
+                  prev.(v) <- u;
+                  Tacoma_util.Heap.push heap (nd, v)
+                end
+              end)
+            t.adj.(u)
       end;
       loop ()
   in
@@ -152,11 +202,11 @@ let dijkstra t src =
   Array.init n path_to
 
 let routes_from t src =
-  match Hashtbl.find_opt t.route_cache src with
-  | Some (arr, gen) when gen = t.generation -> arr
-  | Some _ | None ->
+  match t.routes.(src) with
+  | Some arr -> arr
+  | None ->
     let arr = dijkstra t src in
-    Hashtbl.replace t.route_cache src (arr, t.generation);
+    t.routes.(src) <- Some arr;
     arr
 
 let route t src dst =
@@ -170,49 +220,32 @@ let path_delay t ~size src path =
   let rec go acc prev_site = function
     | [] -> acc
     | hop :: rest ->
-      let l =
-        match Topology.link t.topo prev_site hop with
-        | Some l -> l
-        | None -> assert false
-      in
-      go
-        (acc
-        +. effective_latency t prev_site hop l
-        +. (float_of_int size /. effective_bandwidth t prev_site hop l))
-        hop rest
+      let l = link_on_route t prev_site hop in
+      go (acc +. l.latency +. (float_of_int size /. l.bandwidth)) hop rest
   in
   go 0.0 src path
 
 (* Store-and-forward with FIFO link contention: at each link the message
    first waits until the link has drained earlier traffic, occupies it for
-   the serialisation time, then propagates for the latency.  Returns the
-   absolute arrival time and updates the links' busy horizons. *)
-let link_label a b =
-  let a, b = if a < b then (a, b) else (b, a) in
-  Printf.sprintf "%d-%d" a b
-
+   the serialisation time, then propagates for the latency.  Charges the
+   bytes to every link, returns the absolute arrival time and updates the
+   links' busy horizons. *)
 let reserve_path t ~size src path =
-  let now = Engine.now t.engine in
   let rec go arrival prev_site = function
     | [] -> arrival
     | hop :: rest ->
-      let l =
-        match Topology.link t.topo prev_site hop with
-        | Some l -> l
-        | None -> assert false
-      in
-      let k = key prev_site hop in
-      let free_at = Option.value ~default:0.0 (Hashtbl.find_opt t.link_busy_until k) in
-      let start_tx = Float.max arrival free_at in
+      let l = link_on_route t prev_site hop in
+      Netstats.record_link_bytes t.stats l.id size;
+      let bytes = Lazy.force l.bytes in
+      bytes := !bytes + size;
+      let start_tx = Float.max arrival l.busy_until in
       (* queue depth at this link, in seconds of backlog ahead of us *)
-      Obs.Metrics.observe t.metrics
-        ~labels:[ ("link", link_label prev_site hop) ]
-        "net.link.wait_s" (start_tx -. arrival);
-      let tx_done = start_tx +. (float_of_int size /. effective_bandwidth t prev_site hop l) in
-      Hashtbl.replace t.link_busy_until k tx_done;
-      go (tx_done +. effective_latency t prev_site hop l) hop rest
+      Obs.Hist.observe (Lazy.force l.wait) (start_tx -. arrival);
+      let tx_done = start_tx +. (float_of_int size /. l.bandwidth) in
+      l.busy_until <- tx_done;
+      go (tx_done +. l.latency) hop rest
   in
-  go now src path
+  go (Engine.now t.engine) src path
 
 (* The probability that a message following [path] is lost.  With no chaos
    overrides this is exactly [loss_rate]; a global override window replaces
@@ -220,18 +253,19 @@ let reserve_path t ~size src path =
    every crossed link). *)
 let path_loss_prob t src path =
   let base = match t.loss_override with Some r -> r | None -> t.loss_rate in
-  if Hashtbl.length t.link_loss = 0 then base
+  if t.lossy = 0 then base
   else begin
-    let survive = ref (1.0 -. base) in
-    let prev = ref src in
-    List.iter
-      (fun hop ->
-        (match Hashtbl.find_opt t.link_loss (key !prev hop) with
-        | Some r -> survive := !survive *. (1.0 -. r)
-        | None -> ());
-        prev := hop)
-      path;
-    1.0 -. !survive
+    let rec go survive prev_site = function
+      | [] -> 1.0 -. survive
+      | hop :: rest ->
+        let survive =
+          match (link_on_route t prev_site hop).loss with
+          | Some r -> survive *. (1.0 -. r)
+          | None -> survive
+        in
+        go survive hop rest
+    in
+    go (1.0 -. base) src path
   end
 
 (* When a route lookup fails, distinguish an administrative partition from
@@ -239,8 +273,7 @@ let path_loss_prob t src path =
    sites still do not forward).  If the destination would be reachable, the
    drop is attributable to the partition. *)
 let reachable_ignoring_partition t src dst =
-  let n = Topology.site_count t.topo in
-  let visited = Array.make n false in
+  let visited = Array.make (Array.length t.adj) false in
   let q = Queue.create () in
   visited.(src) <- true;
   Queue.add src q;
@@ -249,13 +282,14 @@ let reachable_ignoring_partition t src dst =
     let u = Queue.take q in
     if u = dst then found := true
     else if (state t u).up || u = src then
-      List.iter
-        (fun v ->
+      Array.iter
+        (fun l ->
+          let v = other l u in
           if not visited.(v) then begin
             visited.(v) <- true;
             Queue.add v q
           end)
-        (Topology.neighbors t.topo u)
+        t.adj.(u)
   done;
   !found
 
@@ -266,13 +300,19 @@ let delivery_delay t src dst ~size =
     | None -> None
     | Some path -> Some (path_delay t ~size src path)
 
+(* "<what> site-<src> -> site-<dst> (<size> bytes)", the message of a traced drop *)
+let drop_note what src dst size =
+  String.concat ""
+    [ what; " site-"; string_of_int src; " -> site-"; string_of_int dst; " (";
+      string_of_int size; " bytes)" ]
+
 let deliver t (msg : Message.t) =
   let st = state t msg.dst in
   let tr = recorder t in
   if st.up then begin
     Netstats.record_delivery t.stats;
-    Obs.Metrics.incr t.metrics "net.delivered";
-    Obs.Metrics.observe t.metrics "net.delivery_latency_s" (now t -. msg.sent_at);
+    incr (Lazy.force t.delivered);
+    Obs.Hist.observe (Lazy.force t.delivery_latency) (now t -. msg.sent_at);
     if Obs.Tracer.enabled tr then
       Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:msg.dst
         ~attrs:
@@ -289,7 +329,10 @@ let deliver t (msg : Message.t) =
     Obs.Metrics.incr t.metrics ~labels:[ ("reason", "site-down") ] "net.drops";
     if Obs.Tracer.enabled tr then
       Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:msg.dst
-        ~msg:(Printf.sprintf "site-%d down, dropped %d bytes from site-%d" msg.dst msg.size msg.src)
+        ~msg:
+          (String.concat ""
+             [ "site-"; string_of_int msg.dst; " down, dropped "; string_of_int msg.size;
+               " bytes from site-"; string_of_int msg.src ])
         ~attrs:[ ("reason", Obs.Event.S "site-down") ]
         "net.drop"
   end
@@ -300,7 +343,7 @@ let send t ~src ~dst ~size payload =
   if site_up t src then begin
     if src = dst then begin
       Netstats.record_send t.stats ~bytes:size ~hops:0;
-      Obs.Metrics.incr t.metrics "net.sent";
+      incr (Lazy.force t.sent);
       let msg =
         { Message.src; dst; size; payload; sent_at = now t; hops = 0 }
       in
@@ -310,7 +353,7 @@ let send t ~src ~dst ~size payload =
       match route t src dst with
       | None ->
         let reason =
-          if Hashtbl.length t.disabled_links > 0 && reachable_ignoring_partition t src dst then
+          if t.disabled > 0 && reachable_ignoring_partition t src dst then
             "partition"
           else "no-route"
         in
@@ -318,24 +361,14 @@ let send t ~src ~dst ~size payload =
         Obs.Metrics.incr t.metrics ~labels:[ ("reason", reason) ] "net.drops";
         if Obs.Tracer.enabled tr then
           Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
-            ~msg:(Printf.sprintf "%s site-%d -> site-%d (%d bytes)" reason src dst size)
+            ~msg:(drop_note reason src dst size)
             ~attrs:[ ("reason", Obs.Event.S reason); ("dst", Obs.Event.I dst) ]
             "net.drop"
       | Some path ->
         let hops = List.length path in
         Netstats.record_send t.stats ~bytes:size ~hops;
-        Obs.Metrics.incr t.metrics "net.sent";
-        Obs.Metrics.observe t.metrics "net.msg_hops" (float_of_int hops);
-        let rec charge prev_site = function
-          | [] -> ()
-          | hop :: rest ->
-            Netstats.record_link_bytes t.stats prev_site hop size;
-            Obs.Metrics.incr t.metrics
-              ~labels:[ ("link", link_label prev_site hop) ]
-              ~by:size "net.link.bytes";
-            charge hop rest
-        in
-        charge src path;
+        incr (Lazy.force t.sent);
+        Obs.Hist.observe (Lazy.force t.msg_hops) (float_of_int hops);
         if Obs.Tracer.enabled tr then
           Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
             ~attrs:
@@ -355,9 +388,7 @@ let send t ~src ~dst ~size payload =
                  Obs.Metrics.incr t.metrics ~labels:[ ("reason", "loss") ] "net.drops";
                  if Obs.Tracer.enabled tr then
                    Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
-                     ~msg:
-                       (Printf.sprintf "lost in transit site-%d -> site-%d (%d bytes)" src
-                          dst size)
+                     ~msg:(drop_note "lost in transit" src dst size)
                      ~attrs:[ ("reason", Obs.Event.S "loss"); ("dst", Obs.Event.I dst) ]
                      "net.drop"))
         end
@@ -372,7 +403,7 @@ let crash t s =
   if st.up then begin
     st.up <- false;
     st.handlers <- [];
-    bump_generation t;
+    invalidate_routes t;
     Obs.Metrics.incr t.metrics "net.crashes";
     Trace.add t.trace ~time:(now t) Trace.Crash (Printf.sprintf "site-%d" s);
     List.iter (fun hook -> hook ()) (List.rev st.crash_hooks)
@@ -382,7 +413,7 @@ let restart t s =
   let st = state t s in
   if not st.up then begin
     st.up <- true;
-    bump_generation t;
+    invalidate_routes t;
     Obs.Metrics.incr t.metrics "net.restarts";
     Trace.add t.trace ~time:(now t) Trace.Restart (Printf.sprintf "site-%d" s);
     List.iter (fun hook -> hook ()) (List.rev st.restart_hooks)
@@ -396,34 +427,26 @@ let on_restart t s hook =
   let st = state t s in
   st.restart_hooks <- hook :: st.restart_hooks
 
+let require_link t a b what =
+  match find_link t.adj a b with Some l -> l | None -> invalid_arg (what ^ ": no such link")
+
 let set_link_enabled t a b enabled =
-  (match Topology.link t.topo a b with
-  | None -> invalid_arg "Net.set_link_enabled: no such link"
-  | Some _ -> ());
-  let k = key a b in
-  let changed =
-    if enabled then Hashtbl.mem t.disabled_links k
-    else not (Hashtbl.mem t.disabled_links k)
-  in
-  if changed then begin
-    if enabled then Hashtbl.remove t.disabled_links k else Hashtbl.replace t.disabled_links k ();
-    bump_generation t
+  let l = require_link t a b "Net.set_link_enabled" in
+  if l.enabled <> enabled then begin
+    l.enabled <- enabled;
+    t.disabled <- (t.disabled + if enabled then -1 else 1);
+    invalidate_routes t
   end
 
-let require_link t a b what =
-  match Topology.link t.topo a b with
-  | None -> invalid_arg (what ^ ": no such link")
-  | Some _ -> ()
-
 let set_link_loss t a b rate =
-  require_link t a b "Net.set_link_loss";
-  match rate with
-  | None -> Hashtbl.remove t.link_loss (key a b)
-  | Some r ->
-    if r < 0.0 || r >= 1.0 then invalid_arg "Net.set_link_loss: rate must be in [0,1)";
-    Hashtbl.replace t.link_loss (key a b) r
+  let l = require_link t a b "Net.set_link_loss" in
+  (match rate with
+  | Some r when r < 0.0 || r >= 1.0 -> invalid_arg "Net.set_link_loss: rate must be in [0,1)"
+  | Some _ | None -> ());
+  t.lossy <- (t.lossy + Bool.to_int (Option.is_some rate) - Bool.to_int (Option.is_some l.loss));
+  l.loss <- rate
 
-let link_loss t a b = Hashtbl.find_opt t.link_loss (key a b)
+let link_loss t a b = Option.bind (find_link t.adj a b) (fun l -> l.loss)
 
 let set_loss_override t rate =
   (match rate with
@@ -435,18 +458,17 @@ let set_loss_override t rate =
 let loss_override t = t.loss_override
 
 let set_link_degraded t a b factors =
-  require_link t a b "Net.set_link_degraded";
-  let k = key a b in
-  (match factors with
-  | None -> Hashtbl.remove t.link_degrade k
-  | Some (lm, bm) ->
-    if lm <= 0.0 || bm <= 0.0 then
-      invalid_arg "Net.set_link_degraded: factors must be positive";
-    Hashtbl.replace t.link_degrade k (lm, bm));
+  let l = require_link t a b "Net.set_link_degraded" in
+  let lm, bm = Option.value factors ~default:(1.0, 1.0) in
+  if lm <= 0.0 || bm <= 0.0 then invalid_arg "Net.set_link_degraded: factors must be positive";
+  l.degrade <- factors;
+  (* exact when restored: x *. 1.0 = x *)
+  l.latency <- l.base.latency *. lm;
+  l.bandwidth <- l.base.bandwidth *. bm;
   (* degraded latency changes lowest-latency routes *)
-  bump_generation t
+  invalidate_routes t
 
-let link_degraded t a b = Hashtbl.find_opt t.link_degrade (key a b)
+let link_degraded t a b = Option.bind (find_link t.adj a b) (fun l -> l.degrade)
 
 let run ?until ?stop t = Engine.run ?until ?stop t.engine
 let schedule t ~after f = Engine.schedule t.engine ~after f

@@ -4,19 +4,22 @@ type t = {
   mutable dropped : int;
   mutable bytes : int;
   mutable byte_hops : int;
-  per_link : (int * int, int) Hashtbl.t;
+  ends : (int * int) array; (* link index -> endpoints, smaller first *)
+  per_link : int array; (* link index -> bytes *)
 }
 
-let create () =
-  { sent = 0; delivered = 0; dropped = 0; bytes = 0; byte_hops = 0; per_link = Hashtbl.create 64 }
+let key a b = if a < b then (a, b) else (b, a)
 
-let reset t =
-  t.sent <- 0;
-  t.delivered <- 0;
-  t.dropped <- 0;
-  t.bytes <- 0;
-  t.byte_hops <- 0;
-  Hashtbl.reset t.per_link
+let create ?(links = [||]) () =
+  {
+    sent = 0;
+    delivered = 0;
+    dropped = 0;
+    bytes = 0;
+    byte_hops = 0;
+    ends = Array.map (fun (a, b) -> key a b) links;
+    per_link = Array.make (Array.length links) 0;
+  }
 
 let record_send t ~bytes ~hops =
   t.sent <- t.sent + 1;
@@ -25,25 +28,17 @@ let record_send t ~bytes ~hops =
 
 let record_delivery t = t.delivered <- t.delivered + 1
 let record_drop t = t.dropped <- t.dropped + 1
-
-let key a b = if a < b then (a, b) else (b, a)
-
-let record_link_bytes t a b n =
-  let k = key a b in
-  let cur = Option.value ~default:0 (Hashtbl.find_opt t.per_link k) in
-  Hashtbl.replace t.per_link k (cur + n)
+let record_link_bytes t i n = t.per_link.(i) <- t.per_link.(i) + n
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let bytes_sent t = t.bytes
 let byte_hops t = t.byte_hops
-let link_bytes t a b = Option.value ~default:0 (Hashtbl.find_opt t.per_link (key a b))
 
-let busiest_link t =
-  Hashtbl.fold
-    (fun (a, b) n best ->
-      match best with
-      | Some (_, _, m) when m >= n -> best
-      | Some _ | None -> Some (a, b, n))
-    t.per_link None
+let link_bytes t a b =
+  let k = key a b in
+  let rec find i =
+    if i = Array.length t.ends then 0 else if t.ends.(i) = k then t.per_link.(i) else find (i + 1)
+  in
+  find 0

@@ -5,15 +5,18 @@
 
 type t
 
-val create : unit -> t
-val reset : t -> unit
+val create : ?links:(Site.id * Site.id) array -> unit -> t
+(** [links] names the links whose bytes are counted, by index. *)
 
 (** Recording (called by {!Net}). *)
 
 val record_send : t -> bytes:int -> hops:int -> unit
 val record_delivery : t -> unit
 val record_drop : t -> unit
-val record_link_bytes : t -> Site.id -> Site.id -> int -> unit
+
+val record_link_bytes : t -> int -> int -> unit
+(** [record_link_bytes t i n] charges [n] bytes to the link at index [i] of
+    [create]'s [links]. *)
 
 (** Reading. *)
 
@@ -28,6 +31,4 @@ val byte_hops : t -> int
 (** Sum over messages of [size * hops]: the network-wide bandwidth cost. *)
 
 val link_bytes : t -> Site.id -> Site.id -> int
-(** Bytes carried by one undirected link. *)
-
-val busiest_link : t -> (Site.id * Site.id * int) option
+(** Bytes carried by one undirected link; 0 for a link not in [links]. *)

@@ -26,20 +26,26 @@ let find_or_add t name labels make =
 let kind_error name what =
   invalid_arg (Printf.sprintf "Metrics: %S is not a %s" name what)
 
-let incr t ?(labels = []) ?(by = 1) name =
+let counter_cell t ?(labels = []) name =
   match find_or_add t name labels (fun () -> ICounter (ref 0)) with
-  | ICounter r -> r := !r + by
+  | ICounter r -> r
   | IGauge _ | IHist _ -> kind_error name "counter"
+
+let incr t ?labels ?(by = 1) name =
+  let r = counter_cell t ?labels name in
+  r := !r + by
 
 let set_gauge t ?(labels = []) name v =
   match find_or_add t name labels (fun () -> IGauge (ref 0.0)) with
   | IGauge r -> r := v
   | ICounter _ | IHist _ -> kind_error name "gauge"
 
-let observe t ?(labels = []) name v =
+let hist t ?(labels = []) name =
   match find_or_add t name labels (fun () -> IHist (Hist.create ())) with
-  | IHist h -> Hist.observe h v
+  | IHist h -> h
   | ICounter _ | IGauge _ -> kind_error name "histogram"
+
+let observe t ?labels name v = Hist.observe (hist t ?labels name) v
 
 let find t name labels = Hashtbl.find_opt t.series (name, canon labels)
 
@@ -66,8 +72,6 @@ let counter_total t name =
     (fun (n, _) inst acc ->
       match inst with ICounter r when n = name -> acc + !r | _ -> acc)
     t.series 0
-
-let reset t = Hashtbl.reset t.series
 
 type value = Counter of int | Gauge of float | Histogram of Hist.t
 

@@ -1,6 +1,8 @@
-(** Bounded ring buffer: O(1) push, oldest element evicted when full.  The
-    flight recorder stores its event stream here so a long simulation keeps
-    a fixed memory footprint and the most recent history. *)
+(** Bounded ring buffer: amortised O(1) push, oldest element evicted when
+    full.  The flight recorder stores its event stream here so a long
+    simulation keeps a bounded memory footprint and the most recent history.
+    The storage starts empty and doubles on demand up to the capacity, so a
+    ring that records nothing costs nothing. *)
 
 type 'a t
 
@@ -23,3 +25,4 @@ val iter : ('a -> unit) -> 'a t -> unit
 (** Oldest first. *)
 
 val clear : 'a t -> unit
+(** Empties the ring and releases its storage. *)
