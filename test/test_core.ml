@@ -178,6 +178,60 @@ let test_bc_copy_deep () =
   check Alcotest.int "original unchanged" 1 (Folder.length (Briefcase.folder bc "F"));
   check Alcotest.int "copy changed" 2 (Folder.length (Briefcase.folder c "F"))
 
+(* the wire format spelled out by hand: big-endian u32 counts and lengths *)
+let wire_u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF))
+let wire_str s = wire_u32 (String.length s) ^ s
+
+let wire_of folders =
+  wire_u32 (List.length folders)
+  ^ String.concat ""
+      (List.map
+         (fun (name, elems) ->
+           wire_str name ^ wire_u32 (List.length elems) ^ String.concat "" (List.map wire_str elems))
+         folders)
+
+let test_bc_wire_sorted () =
+  let bc = Briefcase.create () in
+  Briefcase.set bc "ZETA" "z";
+  Briefcase.set bc "ALPHA" "a";
+  Folder.replace (Briefcase.folder bc "MID") [ "m1"; "m2" ];
+  ignore (Briefcase.folder bc "EMPTY");
+  Briefcase.set bc "ALPHA" "a2";
+  check Alcotest.(list string) "names sorted" [ "ALPHA"; "EMPTY"; "MID"; "ZETA" ]
+    (Briefcase.names bc);
+  let expected =
+    wire_of [ ("ALPHA", [ "a2" ]); ("EMPTY", []); ("MID", [ "m1"; "m2" ]); ("ZETA", [ "z" ]) ]
+  in
+  check Alcotest.string "wire in name order" expected (Briefcase.serialize bc);
+  check Alcotest.int "byte_size matches" (String.length expected) (Briefcase.byte_size bc)
+
+let test_bc_wire_unsorted_last_wins () =
+  (* a wire [serialize] would not write: folders out of order and one name
+     twice; the last folder of a name wins *)
+  let bc =
+    Briefcase.deserialize
+      (wire_of [ ("B", [ "1" ]); ("A", [ "2" ]); ("C", []); ("B", [ "3"; "4" ]); ("A", [ "5" ]) ])
+  in
+  check Alcotest.(list string) "names deduplicated and sorted" [ "A"; "B"; "C" ]
+    (Briefcase.names bc);
+  check Alcotest.(list string) "last B wins" [ "3"; "4" ] (Folder.to_list (Briefcase.folder bc "B"));
+  check Alcotest.(list string) "last A wins" [ "5" ] (Folder.to_list (Briefcase.folder bc "A"));
+  check Alcotest.string "re-serialized sorted"
+    (wire_of [ ("A", [ "5" ]); ("B", [ "3"; "4" ]); ("C", []) ])
+    (Briefcase.serialize bc)
+
+let test_bc_copy_independent () =
+  let bc = Briefcase.create () in
+  Briefcase.set bc "KEEP" "k";
+  Briefcase.set bc "GONE" "g";
+  let c = Briefcase.copy bc in
+  Briefcase.remove c "GONE";
+  Briefcase.set c "NEW" "n";
+  Folder.replace (Briefcase.folder bc "KEEP") [ "changed" ];
+  check Alcotest.(list string) "original folders" [ "GONE"; "KEEP" ] (Briefcase.names bc);
+  check Alcotest.(list string) "copy folders" [ "KEEP"; "NEW" ] (Briefcase.names c);
+  check Alcotest.(option string) "copy keeps its value" (Some "k") (Briefcase.find_opt c "KEEP")
+
 let test_bc_deserialize_corrupt () =
   Alcotest.check_raises "truncated" (Codec.Malformed "truncated length") (fun () ->
       ignore (Briefcase.deserialize "\x00\x00\x00\x05"))
@@ -930,6 +984,9 @@ let () =
           test_bc_byte_size_exact;
           Alcotest.test_case "basics" `Quick test_bc_basics;
           Alcotest.test_case "deep copy" `Quick test_bc_copy_deep;
+          Alcotest.test_case "copy independent" `Quick test_bc_copy_independent;
+          Alcotest.test_case "wire in name order" `Quick test_bc_wire_sorted;
+          Alcotest.test_case "unsorted wire, last wins" `Quick test_bc_wire_unsorted_last_wins;
           Alcotest.test_case "corrupt input" `Quick test_bc_deserialize_corrupt;
           test_bc_deserialize_fuzz;
           Alcotest.test_case "agent stored in folder" `Quick test_bc_agent_in_folder;

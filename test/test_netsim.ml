@@ -603,6 +603,89 @@ let test_partition_invalidates_route_cache () =
   Net.run net;
   check Alcotest.int "healed delivery" 2 !got
 
+(* --- the per-link record --- *)
+
+let link_series net metric =
+  Obs.Metrics.fold
+    (fun ~name ~labels _ acc -> if name = metric then List.assoc "link" labels :: acc else acc)
+    (Net.metrics net) []
+  |> List.rev
+
+let test_link_series_on_first_traffic () =
+  (* series appear when a link first carries bytes, so a dump lists exactly
+     the links that were used *)
+  let net = mk_net (Topology.line 4) in
+  check Alcotest.int "no series before traffic" 0
+    (Obs.Metrics.fold (fun ~name:_ ~labels:_ _ n -> n + 1) (Net.metrics net) 0);
+  Net.send net ~src:0 ~dst:2 ~size:100 (Message.Ping "x");
+  Net.send net ~src:2 ~dst:1 ~size:50 (Message.Ping "y");
+  Net.run net;
+  check Alcotest.(list string) "bytes series" [ "0-1"; "1-2" ] (link_series net "net.link.bytes");
+  check Alcotest.(list string) "wait series" [ "0-1"; "1-2" ] (link_series net "net.link.wait_s");
+  check Alcotest.int "bytes on 1-2" 150
+    (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("link", "1-2") ] "net.link.bytes");
+  check Alcotest.int "netstats agrees" 150 (Netstats.link_bytes (Net.stats net) 2 1);
+  check Alcotest.int "idle link" 0 (Netstats.link_bytes (Net.stats net) 2 3)
+
+let test_set_link_missing_raises () =
+  let net = mk_net (Topology.line 3) in
+  List.iter
+    (fun (a, b) ->
+      List.iter
+        (fun (what, f) ->
+          Alcotest.check_raises what (Invalid_argument (what ^ ": no such link")) f)
+        [
+          ("Net.set_link_enabled", fun () -> Net.set_link_enabled net a b false);
+          ("Net.set_link_loss", fun () -> Net.set_link_loss net a b (Some 0.5));
+          ("Net.set_link_degraded", fun () -> Net.set_link_degraded net a b (Some (2.0, 2.0)));
+        ])
+    [ (0, 2); (2, 0); (0, 7); (7, 0) ];
+  Alcotest.(check bool) "missing link reads enabled" true (Net.link_enabled net 0 2);
+  check Alcotest.(option (Alcotest.float 0.0)) "missing link has no loss" None
+    (Net.link_loss net 0 7)
+
+let test_redisable_link_is_noop () =
+  let net = mk_net (Topology.line 3) in
+  Net.set_link_enabled net 1 2 false;
+  ignore (Net.route net 0 1);
+  Net.set_link_enabled net 2 1 false;
+  Alcotest.(check bool) "re-disabling keeps the cache" true (Net.route_cache_size net > 0);
+  Net.set_link_enabled net 0 1 true;
+  Alcotest.(check bool) "enabling an enabled link keeps the cache" true
+    (Net.route_cache_size net > 0);
+  Net.set_link_enabled net 1 2 true;
+  check Alcotest.int "one heal clears the cache" 0 (Net.route_cache_size net);
+  (* the cut was counted once, so one heal ends it: no partition is left *)
+  Net.crash net 1;
+  Net.send net ~src:0 ~dst:2 ~size:10 (Message.Ping "x");
+  Net.run net;
+  check Alcotest.int "no-route once healed" 1 (drop_count net "no-route");
+  check Alcotest.int "no partition" 0 (drop_count net "partition")
+
+let test_partition_reason_while_any_cut () =
+  (* ring 0-1-2-3-0: a drop is a partition while any cut explains it *)
+  let net = mk_net (Topology.ring 4) in
+  let send () =
+    Net.send net ~src:0 ~dst:2 ~size:10 (Message.Ping "x");
+    Net.run net
+  in
+  Net.set_link_enabled net 0 1 false;
+  Net.set_link_enabled net 0 3 false;
+  send ();
+  check Alcotest.int "both ways cut" 1 (drop_count net "partition");
+  Net.set_link_enabled net 0 3 true;
+  Net.set_link_enabled net 2 3 false;
+  send ();
+  check Alcotest.int "one cut healed, another made" 2 (drop_count net "partition");
+  Net.set_link_enabled net 0 1 true;
+  Net.crash net 1;
+  send ();
+  check Alcotest.int "crash, but the cut still explains it" 3 (drop_count net "partition");
+  Net.crash net 3;
+  send ();
+  check Alcotest.int "no route even without the cut" 1 (drop_count net "no-route");
+  check Alcotest.int "partition count unchanged" 3 (drop_count net "partition")
+
 let test_fault_apply_idempotent () =
   (* two overlapping plans for one site: the second crash fires while the
      site is already down and is skipped together with its paired restart,
@@ -774,6 +857,11 @@ let () =
           Alcotest.test_case "partition drop reason" `Quick test_partition_drop_reason;
           Alcotest.test_case "cut invalidates cached routes" `Quick
             test_partition_invalidates_route_cache;
+          Alcotest.test_case "link series on first traffic" `Quick
+            test_link_series_on_first_traffic;
+          Alcotest.test_case "missing link rejected" `Quick test_set_link_missing_raises;
+          Alcotest.test_case "re-disabling a link is a no-op" `Quick test_redisable_link_is_noop;
+          Alcotest.test_case "partition while any cut" `Quick test_partition_reason_while_any_cut;
         ] );
       ( "loss",
         [

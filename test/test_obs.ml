@@ -24,6 +24,51 @@ let test_ring_partial_fill () =
   Alcotest.(check (list int)) "insertion order" [ 1; 2; 3 ] (Obs.Ring.to_list r);
   Alcotest.(check int) "nothing evicted" 0 (Obs.Ring.evicted r)
 
+(* The ring's storage grows by doubling from 64 slots up to its capacity;
+   order, length and eviction count must match a fixed-size reference ring
+   at every push, on both sides of each growth step. *)
+let test_ring_growth_matches_reference () =
+  List.iter
+    (fun cap ->
+      let r = Obs.Ring.create cap in
+      let ref_buf = Array.make cap 0 and ref_len = ref 0 and ref_start = ref 0 in
+      let ref_evicted = ref 0 in
+      let ref_push x =
+        if !ref_len = cap then begin
+          ref_buf.(!ref_start) <- x;
+          ref_start := (!ref_start + 1) mod cap;
+          incr ref_evicted
+        end
+        else begin
+          ref_buf.((!ref_start + !ref_len) mod cap) <- x;
+          incr ref_len
+        end
+      in
+      let ref_list () = List.init !ref_len (fun i -> ref_buf.((!ref_start + i) mod cap)) in
+      let check_same what =
+        let what = Printf.sprintf "cap %d, %s" cap what in
+        Alcotest.(check (list int)) (what ^ ": order") (ref_list ()) (Obs.Ring.to_list r);
+        Alcotest.(check int) (what ^ ": length") !ref_len (Obs.Ring.length r);
+        Alcotest.(check int) (what ^ ": evicted") !ref_evicted (Obs.Ring.evicted r)
+      in
+      for x = 1 to 3 * cap do
+        Obs.Ring.push r x;
+        ref_push x;
+        check_same (Printf.sprintf "after %d pushes" x)
+      done;
+      Alcotest.(check int) "capacity unchanged" cap (Obs.Ring.capacity r);
+      Obs.Ring.clear r;
+      ref_len := 0;
+      ref_start := 0;
+      ref_evicted := 0;
+      check_same "after clear";
+      for x = 1 to cap + 1 do
+        Obs.Ring.push r x;
+        ref_push x
+      done;
+      check_same "refilled past capacity after clear")
+    [ 1; 63; 64; 65; 1000 ]
+
 (* ---- histogram ------------------------------------------------------------ *)
 
 let feq = Alcotest.float 1e-9
@@ -88,6 +133,27 @@ let test_metrics_kinds () =
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument "Metrics: \"depth\" is not a counter") (fun () ->
       Obs.Metrics.incr m "depth")
+
+let test_metrics_resolved_series () =
+  let m = Obs.Metrics.create () in
+  let labels = [ ("link", "0-1") ] in
+  let cell = Obs.Metrics.counter_cell m ~labels "bytes" in
+  Alcotest.(check int) "resolving creates the series at 0" 1
+    (Obs.Metrics.fold (fun ~name:_ ~labels:_ _ n -> n + 1) m 0);
+  cell := !cell + 10;
+  Obs.Metrics.incr m ~labels ~by:5 "bytes";
+  Alcotest.(check int) "cell and incr share the series" 15
+    (Obs.Metrics.counter m ~labels "bytes");
+  Alcotest.(check bool) "resolving again gives the same cell" true
+    (cell == Obs.Metrics.counter_cell m ~labels "bytes");
+  let h = Obs.Metrics.hist m "wait" in
+  Obs.Hist.observe h 0.5;
+  Obs.Metrics.observe m "wait" 1.5;
+  Alcotest.(check int) "hist and observe share the series" 2
+    (Obs.Hist.count (Option.get (Obs.Metrics.histogram m "wait")));
+  Alcotest.check_raises "kind mismatch rejected"
+    (Invalid_argument "Metrics: \"bytes\" is not a histogram") (fun () ->
+      ignore (Obs.Metrics.hist m ~labels "bytes"))
 
 (* ---- a minimal JSON parser (validity checking only) ----------------------- *)
 
@@ -430,6 +496,8 @@ let () =
         [
           Alcotest.test_case "eviction order" `Quick test_ring_eviction_order;
           Alcotest.test_case "partial fill" `Quick test_ring_partial_fill;
+          Alcotest.test_case "growth matches a fixed ring" `Quick
+            test_ring_growth_matches_reference;
         ] );
       ( "hist",
         [
@@ -441,6 +509,7 @@ let () =
         [
           Alcotest.test_case "counters and labels" `Quick test_metrics_counters;
           Alcotest.test_case "gauges and histograms" `Quick test_metrics_kinds;
+          Alcotest.test_case "resolved series" `Quick test_metrics_resolved_series;
         ] );
       ( "export",
         [
