@@ -77,23 +77,19 @@ let deserialize s =
   let r = Codec.reader s in
   let n = Codec.read_u32 r in
   let rec read i acc =
-    if i = n then acc
+    if i = n then List.rev acc
     else
       let name = Codec.read_string r in
       read (i + 1) ((name, Folder.of_list (Codec.read_strings r)) :: acc)
   in
-  let rec descending = function
-    | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b > 0 && descending rest
-    | [ _ ] | [] -> true
+  (* [serialize] writes each name once, in order; on any other wire the last
+     folder of a name wins *)
+  let[@tail_mod_cons] rec last_wins = function
+    | (a, _) :: ((b, _) :: _ as rest) when String.equal a b -> last_wins rest
+    | x :: rest -> x :: last_wins rest
+    | [] -> []
   in
-  let last_first = read 0 [] in
-  if descending last_first then { folders = List.rev last_first }
-  else begin
-    (* not [serialize]'s order: the last folder of each name wins *)
-    let t = create () in
-    List.iter (fun (name, f) -> put t name f) (List.rev last_first);
-    t
-  end
+  { folders = last_wins (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (read 0 [])) }
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

@@ -352,20 +352,23 @@ let activity_cell t agent =
 
 let run_hooks_death t ~cls ~site ~agent ~reason =
   t.stat_deaths <- t.stat_deaths + 1;
-  (activity_cell t agent).c_deaths <- (activity_cell t agent).c_deaths + 1;
+  let c = activity_cell t agent in
+  c.c_deaths <- c.c_deaths + 1;
   Obs.Metrics.incr (metrics t) ~labels:[ ("class", cls) ] "kernel.deaths";
   trace t Netsim.Trace.Agent (Printf.sprintf "death of %s@%s: %s" agent (site_name t site) reason);
   List.iter (fun h -> h ~site ~agent ~reason) (List.rev t.death_hooks)
 
 let run_hooks_complete t ~site ~agent =
   t.stat_completions <- t.stat_completions + 1;
-  (activity_cell t agent).c_completions <- (activity_cell t agent).c_completions + 1;
+  let c = activity_cell t agent in
+  c.c_completions <- c.c_completions + 1;
   Obs.Metrics.incr (metrics t) "kernel.completions";
   List.iter (fun h -> h ~site ~agent) (List.rev t.complete_hooks)
 
 let run_activation t ~site ~contact bc =
   t.stat_activations <- t.stat_activations + 1;
-  (activity_cell t contact).c_activations <- (activity_cell t contact).c_activations + 1;
+  let c = activity_cell t contact in
+  c.c_activations <- c.c_activations + 1;
   Obs.Metrics.incr (metrics t) "kernel.activations";
   let ctx = { kernel = t; site; self = contact } in
   let tr = recorder t in

@@ -12,7 +12,6 @@ type site_state = {
 type link = {
   lo : int;
   hi : int; (* endpoints, lo < hi *)
-  id : int; (* index into the per-link byte counts of [Netstats] *)
   base : Topology.link;
   mutable latency : float; (* base latency and bandwidth, scaled by a *)
   mutable bandwidth : float; (* chaos degradation window *)
@@ -49,7 +48,7 @@ type t = {
 let other l u = if l.lo = u then l.hi else l.lo
 
 let find_link adj a b =
-  let ls = adj.(a) in
+  let ls = if a >= 0 && a < Array.length adj then adj.(a) else [||] in
   let rec go i =
     if i = Array.length ls then None else if other ls.(i) a = b then Some ls.(i) else go (i + 1)
   in
@@ -58,16 +57,13 @@ let find_link adj a b =
 (* Sites in increasing order: a link to a smaller site already sits in that
    site's array, so both ends share one record. *)
 let resolve_links topo metrics n =
-  let adj = Array.make n [||] and count = ref 0 in
+  let adj = Array.make n [||] in
   let make a b =
     let base = Option.get (Topology.link topo a b) in
-    let lo = min a b and hi = max a b in
-    let labels () = [ ("link", string_of_int lo ^ "-" ^ string_of_int hi) ] in
-    incr count;
+    let labels () = [ ("link", Netstats.link_label a b) ] in
     {
-      lo;
-      hi;
-      id = !count - 1;
+      lo = min a b;
+      hi = max a b;
       base;
       latency = base.latency;
       bandwidth = base.bandwidth;
@@ -86,29 +82,26 @@ let resolve_links topo metrics n =
            (fun v -> if v < u then Option.get (find_link adj v u) else make u v)
            (Topology.neighbors topo u))
   done;
-  let ends = Array.make !count (0, 0) in
-  Array.iter (Array.iter (fun l -> ends.(l.id) <- (l.lo, l.hi))) adj;
-  (adj, ends)
+  adj
 
 let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
   if loss_rate < 0.0 || loss_rate >= 1.0 then invalid_arg "Net.create: loss_rate must be in [0,1)";
   let n = Topology.site_count topo in
   let rng = Rng.create seed in
   let metrics = Obs.Metrics.create () in
-  let adj, ends = resolve_links topo metrics n in
   {
     engine = Engine.create ~metrics ();
     topo;
     loss_rng = Rng.split rng;
     loss_rate;
     rng;
-    stats = Netstats.create ~links:ends ();
+    stats = Netstats.create metrics;
     trace = Trace.create ~enabled:trace ();
     metrics;
     site_states =
       Array.init n (fun _ ->
           { up = true; handlers = []; crash_hooks = []; restart_hooks = [] });
-    adj;
+    adj = resolve_links topo metrics n;
     disabled = 0;
     lossy = 0;
     loss_override = None;
@@ -235,7 +228,6 @@ let reserve_path t ~size src path =
     | [] -> arrival
     | hop :: rest ->
       let l = link_on_route t prev_site hop in
-      Netstats.record_link_bytes t.stats l.id size;
       let bytes = Lazy.force l.bytes in
       bytes := !bytes + size;
       let start_tx = Float.max arrival l.busy_until in
@@ -300,11 +292,10 @@ let delivery_delay t src dst ~size =
     | None -> None
     | Some path -> Some (path_delay t ~size src path)
 
-(* "<what> site-<src> -> site-<dst> (<size> bytes)", the message of a traced drop *)
+(* the message of a traced drop *)
 let drop_note what src dst size =
-  String.concat ""
-    [ what; " site-"; string_of_int src; " -> site-"; string_of_int dst; " (";
-      string_of_int size; " bytes)" ]
+  what ^ " site-" ^ string_of_int src ^ " -> site-" ^ string_of_int dst ^ " ("
+  ^ string_of_int size ^ " bytes)"
 
 let deliver t (msg : Message.t) =
   let st = state t msg.dst in
@@ -330,9 +321,8 @@ let deliver t (msg : Message.t) =
     if Obs.Tracer.enabled tr then
       Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:msg.dst
         ~msg:
-          (String.concat ""
-             [ "site-"; string_of_int msg.dst; " down, dropped "; string_of_int msg.size;
-               " bytes from site-"; string_of_int msg.src ])
+          ("site-" ^ string_of_int msg.dst ^ " down, dropped " ^ string_of_int msg.size
+         ^ " bytes from site-" ^ string_of_int msg.src)
         ~attrs:[ ("reason", Obs.Event.S "site-down") ]
         "net.drop"
   end

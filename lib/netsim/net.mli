@@ -16,7 +16,9 @@ type t
 val create : ?seed:int64 -> ?trace:bool -> ?loss_rate:float -> Topology.t -> t
 (** [loss_rate] (default 0.0) is the probability that any remote message is
     lost in transit — drawn deterministically from the network's seeded RNG.
-    Local (same-site) deliveries are never lost. *)
+    Local (same-site) deliveries are never lost.  The network reads the
+    topology's links once, here: links added to [topo] later are not
+    seen. *)
 
 val engine : t -> Engine.t
 val topology : t -> Topology.t

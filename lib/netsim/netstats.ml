@@ -4,22 +4,10 @@ type t = {
   mutable dropped : int;
   mutable bytes : int;
   mutable byte_hops : int;
-  ends : (int * int) array; (* link index -> endpoints, smaller first *)
-  per_link : int array; (* link index -> bytes *)
+  metrics : Obs.Metrics.t; (* holds the per-link bytes, as net.link.bytes *)
 }
 
-let key a b = if a < b then (a, b) else (b, a)
-
-let create ?(links = [||]) () =
-  {
-    sent = 0;
-    delivered = 0;
-    dropped = 0;
-    bytes = 0;
-    byte_hops = 0;
-    ends = Array.map (fun (a, b) -> key a b) links;
-    per_link = Array.make (Array.length links) 0;
-  }
+let create metrics = { sent = 0; delivered = 0; dropped = 0; bytes = 0; byte_hops = 0; metrics }
 
 let record_send t ~bytes ~hops =
   t.sent <- t.sent + 1;
@@ -28,7 +16,10 @@ let record_send t ~bytes ~hops =
 
 let record_delivery t = t.delivered <- t.delivered + 1
 let record_drop t = t.dropped <- t.dropped + 1
-let record_link_bytes t i n = t.per_link.(i) <- t.per_link.(i) + n
+
+let link_label a b =
+  let a, b = if a < b then (a, b) else (b, a) in
+  string_of_int a ^ "-" ^ string_of_int b
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
@@ -37,8 +28,4 @@ let bytes_sent t = t.bytes
 let byte_hops t = t.byte_hops
 
 let link_bytes t a b =
-  let k = key a b in
-  let rec find i =
-    if i = Array.length t.ends then 0 else if t.ends.(i) = k then t.per_link.(i) else find (i + 1)
-  in
-  find 0
+  Obs.Metrics.counter t.metrics ~labels:[ ("link", link_label a b) ] "net.link.bytes"

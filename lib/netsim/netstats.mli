@@ -5,8 +5,9 @@
 
 type t
 
-val create : ?links:(Site.id * Site.id) array -> unit -> t
-(** [links] names the links whose bytes are counted, by index. *)
+val create : Obs.Metrics.t -> t
+(** Per-link bytes are read from the registry's [net.link.bytes] series,
+    which {!Net} charges. *)
 
 (** Recording (called by {!Net}). *)
 
@@ -14,9 +15,8 @@ val record_send : t -> bytes:int -> hops:int -> unit
 val record_delivery : t -> unit
 val record_drop : t -> unit
 
-val record_link_bytes : t -> int -> int -> unit
-(** [record_link_bytes t i n] charges [n] bytes to the link at index [i] of
-    [create]'s [links]. *)
+val link_label : Site.id -> Site.id -> string
+(** ["a-b"] with [a < b]: the [link] label of the per-link series. *)
 
 (** Reading. *)
 
@@ -31,4 +31,4 @@ val byte_hops : t -> int
 (** Sum over messages of [size * hops]: the network-wide bandwidth cost. *)
 
 val link_bytes : t -> Site.id -> Site.id -> int
-(** Bytes carried by one undirected link; 0 for a link not in [links]. *)
+(** Bytes carried by one undirected link. *)

@@ -18,19 +18,12 @@ val incr : t -> ?labels:labels -> ?by:int -> string -> unit
 val set_gauge : t -> ?labels:labels -> string -> float -> unit
 val observe : t -> ?labels:labels -> string -> float -> unit
 
-(** {1 Resolved series}
-
-    A hot path resolves its series once and then updates it with no lookup.
-    Resolving creates the series, so it shows in [fold] and [pp] from then
-    on: resolve on first use to keep a dump free of untouched series.  The
-    registry never drops a series, so a resolved one stays attached. *)
+(** A hot path resolves its series once, then updates it with no lookup.
+    Resolving creates the series (at 0, or empty), so it shows in [fold] and
+    [pp] from then on: resolve on first use.  Series are never dropped. *)
 
 val counter_cell : t -> ?labels:labels -> string -> int ref
-(** The counter's cell, created at 0 when absent: [incr ~by] adds [by] to
-    it. *)
-
 val hist : t -> ?labels:labels -> string -> Hist.t
-(** The histogram, created empty when absent: [observe] records into it. *)
 
 val counter : t -> ?labels:labels -> string -> int
 (** 0 when the series does not exist. *)

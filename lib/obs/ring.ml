@@ -6,8 +6,6 @@ type 'a t = {
   mutable evicted : int;
 }
 
-let first_size = 64
-
 let create capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { capacity; buf = [||]; start = 0; len = 0; evicted = 0 }
@@ -18,8 +16,7 @@ let evicted t = t.evicted
 
 let push t x =
   if t.len = t.capacity then begin
-    (* full, so [buf] has grown to [capacity]: overwrite the oldest slot and
-       advance the window *)
+    (* full, so [buf] has grown to [capacity]: overwrite the oldest slot *)
     t.buf.(t.start) <- Some x;
     t.start <- (t.start + 1) mod t.capacity;
     t.evicted <- t.evicted + 1
@@ -28,7 +25,7 @@ let push t x =
     (* nothing is evicted before the ring is full, so [start] is still 0 *)
     let size = Array.length t.buf in
     if t.len = size then begin
-      let buf = Array.make (min t.capacity (max first_size (2 * size))) None in
+      let buf = Array.make (min t.capacity (max 64 (2 * size))) None in
       Array.blit t.buf 0 buf 0 size;
       t.buf <- buf
     end;
@@ -37,9 +34,9 @@ let push t x =
   end
 
 let iter f t =
-  let size = Array.length t.buf in
+  let cap = Array.length t.buf in
   for i = 0 to t.len - 1 do
-    match t.buf.((t.start + i) mod size) with
+    match t.buf.((t.start + i) mod cap) with
     | Some x -> f x
     | None -> assert false
   done

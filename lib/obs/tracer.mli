@@ -11,7 +11,8 @@ type t
 
 val create : ?capacity:int -> ?enabled:bool -> unit -> t
 (** [capacity] (default 65536) bounds the event ring; the oldest events are
-    evicted beyond it.  [enabled] defaults to [false]. *)
+    evicted beyond it.  The ring's storage grows on demand, so a tracer that
+    records nothing allocates none of it.  [enabled] defaults to [false]. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
