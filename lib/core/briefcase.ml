@@ -40,7 +40,7 @@ let folder t name =
     f
 
 let mem t name = Option.is_some (folder_opt t name)
-let remove t name = t.folders <- List.filter (fun (n, _) -> n <> name) t.folders
+let remove t name = t.folders <- List.filter (fun (n, _) -> not (String.equal n name)) t.folders
 let names t = List.map fst t.folders
 let copy t = { folders = List.map (fun (n, f) -> (n, Folder.copy f)) t.folders }
 let clear t = t.folders <- []
@@ -89,7 +89,8 @@ let deserialize s =
     | x :: rest -> x :: last_wins rest
     | [] -> []
   in
-  { folders = last_wins (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (read 0 [])) }
+  let by_name (a, _) (b, _) = String.compare a b in
+  { folders = last_wins (List.stable_sort by_name (read 0 [])) }
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

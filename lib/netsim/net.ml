@@ -433,7 +433,8 @@ let set_link_loss t a b rate =
   (match rate with
   | Some r when r < 0.0 || r >= 1.0 -> invalid_arg "Net.set_link_loss: rate must be in [0,1)"
   | Some _ | None -> ());
-  t.lossy <- (t.lossy + Bool.to_int (Option.is_some rate) - Bool.to_int (Option.is_some l.loss));
+  let count = function Some _ -> 1 | None -> 0 in
+  t.lossy <- t.lossy + count rate - count l.loss;
   l.loss <- rate
 
 let link_loss t a b = Option.bind (find_link t.adj a b) (fun l -> l.loss)

@@ -187,7 +187,8 @@ let wire_of folders =
   ^ String.concat ""
       (List.map
          (fun (name, elems) ->
-           wire_str name ^ wire_u32 (List.length elems) ^ String.concat "" (List.map wire_str elems))
+           wire_str name ^ wire_u32 (List.length elems)
+           ^ String.concat "" (List.map wire_str elems))
          folders)
 
 let test_bc_wire_sorted () =
@@ -210,11 +211,13 @@ let test_bc_wire_unsorted_last_wins () =
      twice; the last folder of a name wins *)
   let bc =
     Briefcase.deserialize
-      (wire_of [ ("B", [ "1" ]); ("A", [ "2" ]); ("C", []); ("B", [ "3"; "4" ]); ("A", [ "5" ]) ])
+      (wire_of
+         [ ("B", [ "1" ]); ("A", [ "2" ]); ("C", []); ("B", [ "3"; "4" ]); ("A", [ "5" ]) ])
   in
   check Alcotest.(list string) "names deduplicated and sorted" [ "A"; "B"; "C" ]
     (Briefcase.names bc);
-  check Alcotest.(list string) "last B wins" [ "3"; "4" ] (Folder.to_list (Briefcase.folder bc "B"));
+  check Alcotest.(list string) "last B wins" [ "3"; "4" ]
+    (Folder.to_list (Briefcase.folder bc "B"));
   check Alcotest.(list string) "last A wins" [ "5" ] (Folder.to_list (Briefcase.folder bc "A"));
   check Alcotest.string "re-serialized sorted"
     (wire_of [ ("A", [ "5" ]); ("B", [ "3"; "4" ]); ("C", []) ])

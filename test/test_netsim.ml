@@ -620,8 +620,10 @@ let test_link_series_on_first_traffic () =
   Net.send net ~src:0 ~dst:2 ~size:100 (Message.Ping "x");
   Net.send net ~src:2 ~dst:1 ~size:50 (Message.Ping "y");
   Net.run net;
-  check Alcotest.(list string) "bytes series" [ "0-1"; "1-2" ] (link_series net "net.link.bytes");
-  check Alcotest.(list string) "wait series" [ "0-1"; "1-2" ] (link_series net "net.link.wait_s");
+  check Alcotest.(list string) "bytes series" [ "0-1"; "1-2" ]
+    (link_series net "net.link.bytes");
+  check Alcotest.(list string) "wait series" [ "0-1"; "1-2" ]
+    (link_series net "net.link.wait_s");
   check Alcotest.int "bytes on 1-2" 150
     (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("link", "1-2") ] "net.link.bytes");
   check Alcotest.int "netstats agrees" 150 (Netstats.link_bytes (Net.stats net) 2 1);
@@ -860,8 +862,10 @@ let () =
           Alcotest.test_case "link series on first traffic" `Quick
             test_link_series_on_first_traffic;
           Alcotest.test_case "missing link rejected" `Quick test_set_link_missing_raises;
-          Alcotest.test_case "re-disabling a link is a no-op" `Quick test_redisable_link_is_noop;
-          Alcotest.test_case "partition while any cut" `Quick test_partition_reason_while_any_cut;
+          Alcotest.test_case "re-disabling a link is a no-op" `Quick
+            test_redisable_link_is_noop;
+          Alcotest.test_case "partition while any cut" `Quick
+            test_partition_reason_while_any_cut;
         ] );
       ( "loss",
         [
