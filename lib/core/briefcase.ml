@@ -21,22 +21,16 @@ let folder_opt t name =
   in
   find t.folders
 
-(* [f] under [name], in place of any folder already there *)
-let put t name f =
-  let rec go = function
-    | [] -> [ (name, f) ]
-    | ((n, _) as x) :: rest as l ->
-      let c = String.compare n name in
-      if c < 0 then x :: go rest else if c = 0 then (name, f) :: rest else (name, f) :: l
-  in
-  t.folders <- go t.folders
-
 let folder t name =
   match folder_opt t name with
   | Some f -> f
   | None ->
     let f = Folder.create () in
-    put t name f;
+    let rec insert = function
+      | ((n, _) as x) :: rest when String.compare n name < 0 -> x :: insert rest
+      | l -> (name, f) :: l
+    in
+    t.folders <- insert t.folders;
     f
 
 let mem t name = Option.is_some (folder_opt t name)
