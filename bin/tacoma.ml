@@ -19,7 +19,8 @@ let read_file path =
 let write_trace_out net = function
   | None -> ()
   | Some path ->
-    Obs.Export.write_file path (Obs.Export.chrome (Netsim.Trace.events (Netsim.Net.trace net)));
+    let events = Obs.Tracer.events (Netsim.Net.recorder net) in
+    Obs.Export.write_file path (Obs.Export.chrome events);
     Format.fprintf fmt "chrome trace written to %s (open in about:tracing or ui.perfetto.dev)@."
       path
 
@@ -124,7 +125,7 @@ let run_script_cmd =
           a.Tacoma_core.Kernel.a_activations a.Tacoma_core.Kernel.a_completions
           a.Tacoma_core.Kernel.a_deaths)
       (Tacoma_core.Kernel.activity k);
-    if trace then Netsim.Trace.dump fmt (Netsim.Net.trace net);
+    if trace then Obs.Export.pp_events fmt (Obs.Tracer.events (Netsim.Net.recorder net));
     write_trace_out net trace_out
   in
   let open Cmdliner in
@@ -148,7 +149,7 @@ let trace_cmd =
   let run topology n code_file format out =
     let code = read_file code_file in
     let net, _k = run_simulation ~topology ~n ~trace:true code in
-    let events = Netsim.Trace.events (Netsim.Net.trace net) in
+    let events = Obs.Tracer.events (Netsim.Net.recorder net) in
     let contents =
       match format with `Jsonl -> Obs.Export.jsonl events | `Chrome -> Obs.Export.chrome events
     in
@@ -319,9 +320,9 @@ let demo_cmd =
         ~work:(fun _ctx ~hop _bc -> visits := hop :: !visits)
         (Tacoma_core.Briefcase.create ())
     in
-    Netsim.Fault.crash_for net ~site:2 ~at:0.0 ~downtime:5.0;
+    Netsim.Net.crash_for net ~site:2 ~at:0.0 ~downtime:5.0;
     Netsim.Net.run ~until:60.0 net;
-    Netsim.Trace.dump fmt (Netsim.Net.trace net);
+    Obs.Export.pp_events fmt (Obs.Tracer.events (Netsim.Net.recorder net));
     List.iter
       (fun site ->
         let trail =

@@ -151,8 +151,6 @@ let cabinet t site = t.places.(site).cab
 
 let neighbor_names t site = List.map (site_name t) (Net.neighbors t.net site)
 
-let trace t kind detail = Netsim.Trace.add (Net.trace t.net) ~time:(now t) kind detail
-
 (* ---- flight recorder ----------------------------------------------------- *)
 
 let recorder t = Net.recorder t.net
@@ -289,7 +287,13 @@ and run_code ctx ~code bc =
           try meet ctx name bc
           with Agent_error msg -> raise (Tscript.Interp.Error_exc msg));
       sleep = (fun d -> sleep ctx d);
-      log = (fun msg -> trace t Netsim.Trace.Agent (Printf.sprintf "%s@%s: %s" ctx.self (site_name t ctx.site) msg));
+      log =
+        (fun msg ->
+          let tr = recorder t in
+          if Obs.Tracer.enabled tr then
+            Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel"
+              ~msg:(Printf.sprintf "%s@%s: %s" ctx.self (site_name t ctx.site) msg)
+              "agent");
       random_int = (fun n -> Rng.int t.rng n);
       cabinet = cabinet t ctx.site;
       code = (fun () -> code);
@@ -355,7 +359,11 @@ let run_hooks_death t ~cls ~site ~agent ~reason =
   let c = activity_cell t agent in
   c.c_deaths <- c.c_deaths + 1;
   Obs.Metrics.incr (metrics t) ~labels:[ ("class", cls) ] "kernel.deaths";
-  trace t Netsim.Trace.Agent (Printf.sprintf "death of %s@%s: %s" agent (site_name t site) reason);
+  (let tr = recorder t in
+   if Obs.Tracer.enabled tr then
+     Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel"
+       ~msg:(Printf.sprintf "death of %s@%s: %s" agent (site_name t site) reason)
+       "agent");
   List.iter (fun h -> h ~site ~agent ~reason) (List.rev t.death_hooks)
 
 let run_hooks_complete t ~site ~agent =
@@ -441,9 +449,14 @@ let rec horus_retry t st mid =
   if st.attempts >= t.cfg.horus.max_attempts || believed_dead then begin
     Hashtbl.remove t.pending_acks mid;
     Obs.Metrics.incr (metrics t) "horus.giveups";
-    trace t Netsim.Trace.Drop
-      (Printf.sprintf "horus rexec %d to site-%d gave up after %d attempts" mid st.ack_dst
-         st.attempts)
+    let tr = recorder t in
+    if Obs.Tracer.enabled tr then
+      Obs.Tracer.instant tr ~time:(now t) ~cat:"net"
+        ~msg:
+          (Printf.sprintf "horus rexec %d to site-%d gave up after %d attempts" mid
+             st.ack_dst st.attempts)
+        ~attrs:[ ("reason", Obs.Event.S "horus-giveup") ]
+        "net.drop"
   end
   else begin
     st.attempts <- st.attempts + 1;

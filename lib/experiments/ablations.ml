@@ -4,7 +4,7 @@ module Folder = Tacoma_core.Folder
 module Cabinet = Tacoma_core.Cabinet
 module Net = Netsim.Net
 module Topology = Netsim.Topology
-module Fault = Netsim.Fault
+module Chaos = Netsim.Chaos
 module Rng = Tacoma_util.Rng
 module Stats = Tacoma_util.Stats
 module Escort = Guard.Escort
@@ -56,7 +56,7 @@ let run_a2 () =
   let rng = Rng.create 31337L in
   let plans =
     List.init a2_trials (fun _ ->
-        Fault.poisson_plan ~rng ~sites:(List.init sites Fun.id) ~rate:a2_lambda
+        Chaos.crashes ~rng ~sites:(List.init sites Fun.id) ~rate:a2_lambda
           ~mean_downtime:12.0 ~until:horizon)
   in
   let run_config ~ack_timeout ~durable =
@@ -65,7 +65,7 @@ let run_a2 () =
       (fun trial plan ->
         let net = Net.create (Topology.full_mesh sites) in
         let k = Kernel.create net in
-        Fault.apply net plan;
+        Chaos.apply net plan;
         let config =
           {
             Escort.ack_timeout;
@@ -123,10 +123,10 @@ let run_a3 () =
         float_of_int (Netsim.Netstats.bytes_sent (Net.stats net)) /. 60.0
       in
       (* abort latency: migrate (horus transport) into a permanently dead
-         site; the "gave up" trace entry marks when retries stop *)
+         site; the horus give-up drop event marks when retries stop *)
       let net2 = Net.create ~trace:true (Topology.full_mesh 8) in
       let k2 = Kernel.create ~config net2 in
-      Fault.crash_at net2 ~site:1 ~at:0.0;
+      Net.crash_at net2 ~site:1 ~at:0.0;
       ignore
         (Net.schedule net2 ~after:5.0 (fun () ->
              let bc = Briefcase.create () in
@@ -138,18 +138,13 @@ let run_a3 () =
       Net.run ~until:120.0 net2;
       let gave_up_at =
         List.fold_left
-          (fun acc e ->
-            let has_sub hay needle =
-              let nh = String.length hay and nn = String.length needle in
-              let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-              nn = 0 || go 0
-            in
-            if e.Netsim.Trace.kind = Netsim.Trace.Drop
-               && has_sub e.Netsim.Trace.detail "gave up"
-            then Some e.Netsim.Trace.time
+          (fun acc (e : Obs.Event.t) ->
+            if e.name = "net.drop"
+               && List.assoc_opt "reason" e.attrs = Some (Obs.Event.S "horus-giveup")
+            then Some e.time
             else acc)
           None
-          (Netsim.Trace.entries (Net.trace net2))
+          (Obs.Tracer.events (Net.recorder net2))
       in
       {
         group_on;

@@ -2,7 +2,7 @@ module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 module Net = Netsim.Net
 module Topology = Netsim.Topology
-module Fault = Netsim.Fault
+module Chaos = Netsim.Chaos
 module Rng = Tacoma_util.Rng
 module Stats = Tacoma_util.Stats
 module Escort = Guard.Escort
@@ -61,7 +61,7 @@ let guard_config =
 let run_trial p shape ~plan ~guarded ~trial =
   let net = Net.create (Topology.full_mesh shape.sites) in
   let k = Kernel.create net in
-  Fault.apply net plan;
+  Chaos.apply net plan;
   let work ctx ~hop:_ _ = Kernel.sleep ctx p.work_per_hop in
   let completion_time = ref nan in
   let total = List.length shape.branches in
@@ -96,7 +96,7 @@ let run_config p shape lambda =
   let relaunches = ref 0 in
   for trial = 1 to p.trials do
     let plan =
-      Fault.poisson_plan ~rng
+      Chaos.crashes ~rng
         ~sites:(List.init shape.sites Fun.id)
         ~rate:lambda ~mean_downtime:p.mean_downtime ~until:p.horizon
     in

@@ -3,7 +3,6 @@ module Briefcase = Tacoma_core.Briefcase
 module Folder = Tacoma_core.Folder
 module Net = Netsim.Net
 module Topology = Netsim.Topology
-module Fault = Netsim.Fault
 
 type cost_row = { transport : string; payload : int; journey_time : float; bytes : int }
 type reliability_row = { r_transport : string; trials : int; delivered : int }
@@ -64,7 +63,7 @@ let run_reliability_one ~trial transport =
   install_hopper k ~on_done:(fun _ -> delivered := true);
   (* the destination is down when the migration goes out, back soon after *)
   let downtime = 2.0 +. (0.5 *. float_of_int (trial mod 5)) in
-  Fault.crash_for net ~site:1 ~at:0.1 ~downtime;
+  Net.crash_for net ~site:1 ~at:0.1 ~downtime;
   ignore
     (Net.schedule net ~after:0.5 (fun () ->
          let bc = Briefcase.create () in

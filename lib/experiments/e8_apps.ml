@@ -82,10 +82,10 @@ let run_mail () =
   let net, k, users = mk_world () in
   let rng = Rng.create 77L in
   let plans =
-    Netsim.Fault.poisson_plan ~rng:(Rng.create 5L) ~sites:(List.init 6 Fun.id) ~rate:0.02
+    Netsim.Chaos.crashes ~rng:(Rng.create 5L) ~sites:(List.init 6 Fun.id) ~rate:0.02
       ~mean_downtime:5.0 ~until:60.0
   in
-  Netsim.Fault.apply net plans;
+  Netsim.Chaos.apply net plans;
   let t = ref 0.0 in
   for _ = 1 to sent do
     t := !t +. 1.0;

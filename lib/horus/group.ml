@@ -165,10 +165,15 @@ let rec tick t m =
     if suspected <> [] then begin
       let view = List.fold_left View.without m.view suspected in
       if View.coordinator view = Some m.site then begin
-        Netsim.Trace.add (Net.trace t.net) ~time:now Netsim.Trace.Note
-          (Printf.sprintf "horus %s: site-%d suspects {%s}, installs view %d" t.gname m.site
-             (String.concat "," (List.map string_of_int suspected))
-             view.View.id);
+        (let tr = Net.recorder t.net in
+         if Obs.Tracer.enabled tr then
+           Obs.Tracer.instant tr ~time:now ~cat:"note"
+             ~msg:
+               (Printf.sprintf "horus %s: site-%d suspects {%s}, installs view %d" t.gname
+                  m.site
+                  (String.concat "," (List.map string_of_int suspected))
+                  view.View.id)
+             "note");
         adopt_view t m view;
         broadcast_view t m view
       end

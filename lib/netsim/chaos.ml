@@ -76,13 +76,22 @@ let links_of topo =
   Topology.iter_links topo (fun a b _ -> acc := (a, b) :: !acc);
   Array.of_list (List.rev !acc)
 
-let of_fault_plan fault_plan =
-  List.map
-    (fun { Fault.site; at; downtime } -> Crash { site; at; downtime })
-    fault_plan
-
 let crashes ~rng ~sites ~rate ~mean_downtime ~until =
-  of_fault_plan (Fault.poisson_plan ~rng ~sites ~rate ~mean_downtime ~until)
+  if rate <= 0.0 then []
+  else
+    List.concat_map
+      (fun site ->
+        let stream = Rng.split rng in
+        let rec gen acc time =
+          let time = time +. Rng.exponential stream ~mean:(1.0 /. rate) in
+          if time >= until then List.rev acc
+          else
+            let downtime = Rng.exponential stream ~mean:mean_downtime in
+            (* next crash can only happen after the site is back up *)
+            gen (Crash { site; at = time; downtime } :: acc) (time +. downtime)
+        in
+        gen [] 0.0)
+      sites
 
 let flapping ~rng ~topo ~rate ~mean_downtime ~until =
   let links = links_of topo in
@@ -258,12 +267,14 @@ type applier = {
 
 let norm (a, b) = if a < b then (a, b) else (b, a)
 
-let emit ap kind ~attrs =
+(* [attrs] is only built while the recorder is on *)
+let emit ap kind attrs =
   let m = Net.metrics ap.net in
   Obs.Metrics.incr m ~labels:[ ("kind", kind) ] "chaos.injected";
   let tr = Net.recorder ap.net in
   if Obs.Tracer.enabled tr then
-    Obs.Tracer.instant tr ~time:(Net.now ap.net) ~cat:"chaos" ~attrs ("chaos." ^ kind)
+    Obs.Tracer.instant tr ~time:(Net.now ap.net) ~cat:"chaos" ~attrs:(attrs ())
+      ("chaos." ^ kind)
 
 let emit_heal ap kind =
   Obs.Metrics.incr (Net.metrics ap.net) ~labels:[ ("kind", kind) ] "chaos.healed";
@@ -324,8 +335,8 @@ let link_attr (a, b) = Obs.Event.S (Printf.sprintf "%d-%d" a b)
 let fire ap = function
   | Crash { site; downtime; _ } ->
     if Net.site_up ap.net site then begin
-      emit ap "crash"
-        ~attrs:[ ("site", Obs.Event.I site); ("downtime", Obs.Event.F downtime) ];
+      emit ap "crash" (fun () ->
+          [ ("site", Obs.Event.I site); ("downtime", Obs.Event.F downtime) ]);
       Net.crash ap.net site;
       ignore
         (Net.schedule ap.net ~after:downtime (fun () ->
@@ -335,8 +346,8 @@ let fire ap = function
     else
       Obs.Metrics.incr (Net.metrics ap.net) ~labels:[ ("kind", "crash") ] "chaos.skipped"
   | Cut { links; duration; label; _ } ->
-    emit ap "cut"
-      ~attrs:[ ("label", Obs.Event.S label); ("links", Obs.Event.I (List.length links)) ];
+    emit ap "cut" (fun () ->
+        [ ("label", Obs.Event.S label); ("links", Obs.Event.I (List.length links)) ]);
     List.iter (cut_link ap) links;
     ignore
       (Net.schedule ap.net ~after:duration (fun () ->
@@ -345,7 +356,7 @@ let fire ap = function
   | Loss_burst { link; duration; rate; _ } -> (
     match link with
     | None ->
-      emit ap "loss" ~attrs:[ ("rate", Obs.Event.F rate) ];
+      emit ap "loss" (fun () -> [ ("rate", Obs.Event.F rate) ]);
       ap.global_losses <- rate :: ap.global_losses;
       apply_global_loss ap;
       ignore
@@ -355,7 +366,7 @@ let fire ap = function
              apply_global_loss ap))
     | Some l ->
       let k = norm l in
-      emit ap "loss" ~attrs:[ ("rate", Obs.Event.F rate); ("link", link_attr k) ];
+      emit ap "loss" (fun () -> [ ("rate", Obs.Event.F rate); ("link", link_attr k) ]);
       Hashtbl.replace ap.link_losses k
         (rate :: Option.value ~default:[] (Hashtbl.find_opt ap.link_losses k));
       apply_link_loss ap k;
@@ -367,13 +378,12 @@ let fire ap = function
              apply_link_loss ap k)))
   | Degrade { link; duration; latency; bandwidth; _ } ->
     let k = norm link in
-    emit ap "degrade"
-      ~attrs:
+    emit ap "degrade" (fun () ->
         [
           ("link", link_attr k);
           ("latency", Obs.Event.F latency);
           ("bandwidth", Obs.Event.F bandwidth);
-        ];
+        ]);
     Hashtbl.replace ap.degrades k
       ((latency, bandwidth) :: Option.value ~default:[] (Hashtbl.find_opt ap.degrades k));
     apply_degrade ap k;

@@ -1,15 +1,17 @@
 (** Deterministic chaos plans: composable failure schedules over a {!Net.t}.
 
-    Generalises {!Fault} (crash/restart only) to the full failure surface the
-    netsim models: link partitions ({!event.Cut} — clean bisections or
-    flapping single links), time-windowed loss elevation
-    ({!event.Loss_burst}, per-link or net-wide) and link degradation
-    ({!event.Degrade}, latency/bandwidth multipliers).
+    The one fault-plan type of the netsim.  It covers the full failure
+    surface the netsim models: site crashes ({!event.Crash}), link
+    partitions ({!event.Cut} — clean bisections or flapping single links),
+    time-windowed loss elevation ({!event.Loss_burst}, per-link or net-wide)
+    and link degradation ({!event.Degrade}, latency/bandwidth multipliers).
+    One-off crashes in tests and examples use {!Net.crash_at} and
+    {!Net.crash_for} instead.
 
     Plans are {e pure data}: generated from split RNG streams, inspectable,
     storable ({!to_string}/{!of_string}) and replayable against several
-    networks — the chaos analogue of {!Fault.poisson_plan}'s determinism
-    guarantee.  Every injected event is emitted as a tracer instant
+    networks, so runs with and without rear guards (paper §5) see the
+    {e same} failure schedule.  Every injected event is emitted as a tracer instant
     (category ["chaos"]) and counted in the metrics registry
     ([chaos.injected] / [chaos.healed] / [chaos.skipped], labelled by
     kind). *)
@@ -38,14 +40,11 @@ type event =
 
 type plan = event list
 
-val kind_of : event -> string
-(** ["crash"], ["cut"], ["loss"] or ["degrade"] — the metric label. *)
-
-val at_of : event -> float
 val sort : plan -> plan
 
 val counts : plan -> (string * int) list
-(** Events per kind, sorted by kind name. *)
+(** Events per kind (["crash"], ["cut"], ["loss"] or ["degrade"], the metric
+    label), sorted by kind name. *)
 
 val crash_windows : plan -> (Site.id * (float * float)) list
 
@@ -59,8 +58,6 @@ val double_failure_window : plan -> Site.id list -> bool
 
     All pure; they only draw from the given [rng]. *)
 
-val of_fault_plan : Fault.plan list -> plan
-
 val crashes :
   rng:Tacoma_util.Rng.t ->
   sites:Site.id list ->
@@ -68,8 +65,10 @@ val crashes :
   mean_downtime:float ->
   until:float ->
   plan
-(** Per-site Poisson crash/restart schedule — {!Fault.poisson_plan} lifted
-    to chaos events. *)
+(** For each site, crashes arrive as a Poisson process with [rate] crashes
+    per second and exponentially distributed downtime, drawn from its own
+    split of [rng].  A site's next crash comes only after it is back up, so
+    applying one such plan never skips a crash. *)
 
 val flapping :
   rng:Tacoma_util.Rng.t ->

@@ -30,7 +30,7 @@ type t = {
   loss_rng : Rng.t;
   loss_rate : float;
   stats : Netstats.t;
-  trace : Trace.t;
+  recorder : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
   site_states : site_state array;
   adj : link array array; (* per site, in [Topology.neighbors] order *)
@@ -96,7 +96,7 @@ let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
     loss_rate;
     rng;
     stats = Netstats.create metrics;
-    trace = Trace.create ~enabled:trace ();
+    recorder = Obs.Tracer.create ~enabled:trace ();
     metrics;
     site_states =
       Array.init n (fun _ ->
@@ -117,8 +117,7 @@ let topology t = t.topo
 let now t = Engine.now t.engine
 let rng t = t.rng
 let stats t = t.stats
-let trace t = t.trace
-let recorder t = Trace.tracer t.trace
+let recorder t = t.recorder
 let metrics t = t.metrics
 let sites t = Topology.sites t.topo
 let neighbors t s = Topology.neighbors t.topo s
@@ -395,7 +394,9 @@ let crash t s =
     st.handlers <- [];
     invalidate_routes t;
     Obs.Metrics.incr t.metrics "net.crashes";
-    Trace.add t.trace ~time:(now t) Trace.Crash (Printf.sprintf "site-%d" s);
+    if Obs.Tracer.enabled t.recorder then
+      Obs.Tracer.instant t.recorder ~time:(now t) ~cat:"net" ~msg:(Printf.sprintf "site-%d" s)
+        "net.crash";
     List.iter (fun hook -> hook ()) (List.rev st.crash_hooks)
   end
 
@@ -405,7 +406,9 @@ let restart t s =
     st.up <- true;
     invalidate_routes t;
     Obs.Metrics.incr t.metrics "net.restarts";
-    Trace.add t.trace ~time:(now t) Trace.Restart (Printf.sprintf "site-%d" s);
+    if Obs.Tracer.enabled t.recorder then
+      Obs.Tracer.instant t.recorder ~time:(now t) ~cat:"net" ~msg:(Printf.sprintf "site-%d" s)
+        "net.restart";
     List.iter (fun hook -> hook ()) (List.rev st.restart_hooks)
   end
 
@@ -446,8 +449,6 @@ let set_loss_override t rate =
   | Some _ | None -> ());
   t.loss_override <- rate
 
-let loss_override t = t.loss_override
-
 let set_link_degraded t a b factors =
   let l = require_link t a b "Net.set_link_degraded" in
   let lm, bm = Option.value factors ~default:(1.0, 1.0) in
@@ -463,3 +464,9 @@ let link_degraded t a b = Option.bind (find_link t.adj a b) (fun l -> l.degrade)
 
 let run ?until ?stop t = Engine.run ?until ?stop t.engine
 let schedule t ~after f = Engine.schedule t.engine ~after f
+
+let crash_at t ~site ~at = ignore (Engine.schedule_at t.engine ~at (fun () -> crash t site))
+
+let crash_for t ~site ~at ~downtime =
+  crash_at t ~site ~at;
+  ignore (Engine.schedule_at t.engine ~at:(at +. downtime) (fun () -> restart t site))

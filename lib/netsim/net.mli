@@ -28,11 +28,10 @@ val rng : t -> Tacoma_util.Rng.t
     directly in long-lived components. *)
 
 val stats : t -> Netstats.t
-val trace : t -> Trace.t
 
-(** The structured flight recorder behind [trace]: every layer (kernel,
-    broker, guard, horus) records spans and instants here.  Enabled
-    together with [trace]. *)
+(** The structured flight recorder: every layer (net, kernel, broker,
+    guard, horus, chaos) records spans and instants here.  Enabled by
+    [create ~trace:true]. *)
 val recorder : t -> Obs.Tracer.t
 
 (** The simulation-wide metrics registry (always on): per-link bytes and
@@ -75,6 +74,14 @@ val route_cache_size : t -> int
 val site_up : t -> Site.id -> bool
 val crash : t -> Site.id -> unit
 val restart : t -> Site.id -> unit
+
+val crash_at : t -> site:Site.id -> at:float -> unit
+(** Schedule a {!crash} at absolute time [at]; the site stays down. *)
+
+val crash_for : t -> site:Site.id -> at:float -> downtime:float -> unit
+(** Schedule a {!crash} at [at] and a {!restart} at [at +. downtime].  For
+    random failure schedules use a {!Chaos} plan. *)
+
 val on_crash : t -> Site.id -> (unit -> unit) -> unit
 val on_restart : t -> Site.id -> (unit -> unit) -> unit
 
@@ -104,8 +111,6 @@ val link_loss : t -> Site.id -> Site.id -> float option
 val set_loss_override : t -> float option -> unit
 (** Temporarily replace the net-wide [loss_rate] (a global loss burst);
     [None] restores the rate given at creation. *)
-
-val loss_override : t -> float option
 
 val set_link_degraded : t -> Site.id -> Site.id -> (float * float) option -> unit
 (** [(latency_mult, bandwidth_mult)] scaling the link's parameters for

@@ -8,9 +8,6 @@
       parent / trace ids travel in [args], so the causal tree of a journey
       is reconstructible from the file alone. *)
 
-val json_of_event : Event.t -> string
-(** One self-contained JSON object (no trailing newline). *)
-
 val jsonl : Event.t list -> string
 val chrome : Event.t list -> string
 

@@ -144,6 +144,12 @@ let test_crash_skip_accounting () =
       Chaos.Crash { site = 1; at = 1.0; downtime = 10.0 };
       Chaos.Crash { site = 1; at = 2.0; downtime = 1.0 };
     ];
+  (* the second crash fires while the site is already down and is skipped
+     together with its paired restart, so the first crash's downtime is not
+     cut short *)
+  Net.run ~until:5.0 net;
+  Alcotest.(check bool) "still down at t=5 (short restart skipped)" false
+    (Net.site_up net 1);
   Net.run ~until:30.0 net;
   let m = Net.metrics net in
   check Alcotest.int "one injected" 1

@@ -11,7 +11,6 @@ module Escort = Guard.Escort
 module Net = Netsim.Net
 module Topology = Netsim.Topology
 module Netstats = Netsim.Netstats
-module Fault = Netsim.Fault
 module Chaos = Netsim.Chaos
 
 let check = Alcotest.check
@@ -122,7 +121,7 @@ let test_guard_relaunch_refetches () =
   let net, k = mk (Topology.full_mesh 5) in
   let payload = Briefcase.create () in
   Briefcase.set payload Briefcase.code_folder code;
-  Fault.crash_for net ~site:2 ~at:0.0 ~downtime:6.0;
+  Net.crash_for net ~site:2 ~at:0.0 ~downtime:6.0;
   let j =
     Escort.guarded_journey k
       ~config:

@@ -465,7 +465,7 @@ let test_horus_retransmits_through_downtime () =
       horus = { Kernel.default_config.horus with max_attempts = 8 } }
   in
   let net, k = mk_kernel ~config ~topo:(Topology.line 2) () in
-  Netsim.Fault.crash_for net ~site:1 ~at:0.5 ~downtime:3.0;
+  Net.crash_for net ~site:1 ~at:0.5 ~downtime:3.0;
   ignore
     (Net.schedule net ~after:1.0 (fun () ->
          let bc = Briefcase.create () in
@@ -534,7 +534,7 @@ let test_horus_delayed_ack_no_double_delivery () =
 let test_tcp_loses_migration_to_down_site () =
   let config = { Kernel.default_config with default_transport = Kernel.Tcp } in
   let net, k = mk_kernel ~config ~topo:(Topology.line 2) () in
-  Netsim.Fault.crash_for net ~site:1 ~at:0.5 ~downtime:3.0;
+  Net.crash_for net ~site:1 ~at:0.5 ~downtime:3.0;
   ignore
     (Net.schedule net ~after:1.0 (fun () ->
          let bc = Briefcase.create () in
@@ -563,7 +563,7 @@ let test_kernel_horus_group_mode () =
     (match Horus.Group.view_at g 0 with
     | Some v -> check Alcotest.int "all sites in the group" 4 (Horus.View.size v)
     | None -> Alcotest.fail "no view");
-    Netsim.Fault.crash_for net ~site:2 ~at:2.0 ~downtime:6.0;
+    Net.crash_for net ~site:2 ~at:2.0 ~downtime:6.0;
     Net.run ~until:6.0 net;
     (match Horus.Group.view_at g 0 with
     | Some v -> Alcotest.(check bool) "crashed site left the view" false (Horus.View.mem v 2)
@@ -582,7 +582,7 @@ let test_kernel_group_aborts_retries_to_dead_site () =
   in
   let net = Net.create ~trace:true (Topology.full_mesh 4) in
   let k = Kernel.create ~config net in
-  Netsim.Fault.crash_at net ~site:1 ~at:0.0;
+  Net.crash_at net ~site:1 ~at:0.0;
   ignore
     (Net.schedule net ~after:5.0 (fun () ->
          let bc = Briefcase.create () in
@@ -593,18 +593,10 @@ let test_kernel_group_aborts_retries_to_dead_site () =
   Net.run ~until:60.0 net;
   let gave_up =
     List.exists
-      (fun e ->
-        e.Netsim.Trace.kind = Netsim.Trace.Drop
-        && String.length e.Netsim.Trace.detail > 5
-        && String.fold_left
-             (fun (acc, i) _ ->
-               ( acc
-                 || (i + 7 <= String.length e.Netsim.Trace.detail
-                    && String.sub e.Netsim.Trace.detail i 7 = "gave up"),
-                 i + 1 ))
-             (false, 0) e.Netsim.Trace.detail
-           |> fst)
-      (Netsim.Trace.entries (Net.trace net))
+      (fun (e : Obs.Event.t) ->
+        e.name = "net.drop"
+        && List.assoc_opt "reason" e.attrs = Some (Obs.Event.S "horus-giveup"))
+      (Obs.Tracer.events (Net.recorder net))
   in
   Alcotest.(check bool) "abandoned quickly (not 50 retries)" true gave_up
 
@@ -617,7 +609,7 @@ let test_crash_kills_sleeping_activation () =
       Kernel.sleep ctx 5.0;
       resumed := true);
   Kernel.launch k ~site:1 ~contact:"sleeper" (Briefcase.create ());
-  Netsim.Fault.crash_at net ~site:1 ~at:1.0;
+  Net.crash_at net ~site:1 ~at:1.0;
   Net.run ~until:20.0 net;
   Alcotest.(check bool) "not resumed" false !resumed;
   check Alcotest.int "death recorded" 1 (Kernel.deaths k)
@@ -629,7 +621,7 @@ let test_crash_then_restart_does_not_resurrect () =
       Kernel.sleep ctx 5.0;
       resumed := true);
   Kernel.launch k ~site:1 ~contact:"sleeper" (Briefcase.create ());
-  Netsim.Fault.crash_for net ~site:1 ~at:1.0 ~downtime:1.0;
+  Net.crash_for net ~site:1 ~at:1.0 ~downtime:1.0;
   Net.run ~until:20.0 net;
   Alcotest.(check bool) "still not resumed after restart" false !resumed
 
@@ -650,7 +642,7 @@ let test_cabinet_persistence_across_crash () =
   Cabinet.put cab "DURABLE" "x";
   Cabinet.flush cab;
   Cabinet.put cab "EPHEMERAL" "y";
-  Netsim.Fault.crash_for net ~site:1 ~at:1.0 ~downtime:1.0;
+  Net.crash_for net ~site:1 ~at:1.0 ~downtime:1.0;
   Net.run ~until:5.0 net;
   let cab' = Kernel.cabinet k 1 in
   check Alcotest.(list string) "flushed data back" [ "x" ] (Cabinet.elements cab' "DURABLE");
@@ -693,8 +685,8 @@ let test_whole_system_determinism () =
     let net = Net.create ~seed ~loss_rate:0.1 topo in
     let config = { Kernel.default_config with default_transport = Kernel.Horus } in
     let k = Kernel.create ~config net in
-    Netsim.Fault.apply net
-      (Netsim.Fault.poisson_plan
+    Netsim.Chaos.apply net
+      (Netsim.Chaos.crashes
          ~rng:(Tacoma_util.Rng.create seed)
          ~sites:(Net.sites net) ~rate:0.01 ~mean_downtime:3.0 ~until:30.0);
     let bc = Briefcase.create () in
@@ -765,7 +757,7 @@ let test_prelude_visited_and_notes () =
   check Alcotest.(option string) "note recalled" (Some "blue") (Briefcase.find_opt bc2 "COLOR");
   (* remember flushes: the note survives a crash (the volatile VISITED mark
      does not — that asymmetry is the point of the two primitives) *)
-  Netsim.Fault.crash_for net ~site:1 ~at:11.0 ~downtime:1.0;
+  Net.crash_for net ~site:1 ~at:11.0 ~downtime:1.0;
   Net.run ~until:20.0 net;
   check Alcotest.(option string) "note survives crash" (Some "blue")
     (Cabinet.find_kv_opt (Kernel.cabinet k 1) "NOTES" ~key:"color");

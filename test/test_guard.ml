@@ -9,7 +9,6 @@ module Briefcase = Tacoma_core.Briefcase
 module Folder = Tacoma_core.Folder
 module Net = Netsim.Net
 module Topology = Netsim.Topology
-module Fault = Netsim.Fault
 module Chaos = Netsim.Chaos
 
 let check = Alcotest.check
@@ -62,7 +61,7 @@ let test_guard_relaunches_after_crash () =
   let visits = ref [] in
   (* site 2 is down when the agent tries to hop there; it restarts later and
      the rear guard at site 1 relaunches the agent *)
-  Fault.crash_for net ~site:2 ~at:0.0 ~downtime:6.0;
+  Net.crash_for net ~site:2 ~at:0.0 ~downtime:6.0;
   let j =
     Escort.guarded_journey k ~config:fast_config ~id:"j2" ~itinerary:[ 0; 1; 2; 3 ]
       ~work:(trail_work visits) (Briefcase.create ())
@@ -79,7 +78,7 @@ let test_crash_during_work_recovers () =
   let net, k = mk () in
   let attempts = ref 0 in
   (* work at site 2 takes 5 s; the site crashes 1 s into the first attempt *)
-  Fault.crash_for net ~site:2 ~at:3.0 ~downtime:4.0;
+  Net.crash_for net ~site:2 ~at:3.0 ~downtime:4.0;
   let j =
     Escort.guarded_journey k
       ~config:{ fast_config with ack_timeout = 8.0 }
@@ -98,7 +97,7 @@ let test_crash_during_work_recovers () =
 
 let test_unguarded_journey_lost_on_crash () =
   let net, k = mk () in
-  Fault.crash_for net ~site:2 ~at:0.0 ~downtime:6.0;
+  Net.crash_for net ~site:2 ~at:0.0 ~downtime:6.0;
   let j =
     Escort.unguarded_journey k ~id:"u1" ~itinerary:[ 0; 1; 2; 3 ]
       ~work:(fun _ ~hop:_ _ -> ())
@@ -135,7 +134,7 @@ let test_cyclic_itinerary () =
 
 let test_cycle_with_crash () =
   let net, k = mk ~n:3 () in
-  Fault.crash_for net ~site:1 ~at:0.05 ~downtime:5.0;
+  Net.crash_for net ~site:1 ~at:0.05 ~downtime:5.0;
   let j =
     Escort.guarded_journey k ~config:fast_config ~id:"cyc2" ~itinerary:[ 0; 1; 0; 1 ]
       ~work:(fun _ ~hop:_ _ -> ())
@@ -163,7 +162,7 @@ let test_fanout_all_branches () =
 let test_fanout_with_crash_still_completes () =
   let net, k = mk ~n:7 () in
   let all_done = ref false in
-  Fault.crash_for net ~site:3 ~at:0.0 ~downtime:5.0;
+  Net.crash_for net ~site:3 ~at:0.0 ~downtime:5.0;
   ignore
     (Escort.fanout k ~config:fast_config ~id:"fan2"
        ~branches:[ [ 0; 1; 2 ]; [ 0; 3; 4 ] ]
@@ -176,7 +175,7 @@ let test_fanout_with_crash_still_completes () =
 let test_guard_gives_up_after_max_relaunch () =
   let net, k = mk () in
   (* site 2 never comes back *)
-  Fault.crash_at net ~site:2 ~at:0.0;
+  Net.crash_at net ~site:2 ~at:0.0;
   let j =
     Escort.guarded_journey k
       ~config:{ fast_config with max_relaunch = 3 }
@@ -196,8 +195,8 @@ let double_failure_run ~durable =
   let net, k = mk () in
   (* agent works at site 2 for 5s starting ~0s; crash the worker at t=2 and
      the guard's site (1) at t=2.5, both restart *)
-  Fault.crash_for net ~site:2 ~at:2.0 ~downtime:4.0;
-  Fault.crash_for net ~site:1 ~at:2.5 ~downtime:4.0;
+  Net.crash_for net ~site:2 ~at:2.0 ~downtime:4.0;
+  Net.crash_for net ~site:1 ~at:2.5 ~downtime:4.0;
   let j =
     Escort.guarded_journey k
       ~config:{ fast_config with ack_timeout = 8.0; durable }
@@ -235,7 +234,7 @@ let test_durable_checkpoint_removed_on_release () =
       check Alcotest.(list (pair string string)) "no leftover checkpoints" []
         (Tacoma_core.Cabinet.kv_bindings (Kernel.cabinet k site) "ESCORT-CKPT"))
     [ 0; 1 ];
-  Fault.crash_for net ~site:1 ~at:70.0 ~downtime:1.0;
+  Net.crash_for net ~site:1 ~at:70.0 ~downtime:1.0;
   Net.run ~until:100.0 net;
   check Alcotest.int "no ghost relaunches after restart" 0 (Escort.stats j).Escort.relaunches
 

@@ -7,8 +7,7 @@ module Topology = Netsim.Topology
 module Net = Netsim.Net
 module Message = Netsim.Message
 module Netstats = Netsim.Netstats
-module Fault = Netsim.Fault
-module Trace = Netsim.Trace
+module Chaos = Netsim.Chaos
 module Rng = Tacoma_util.Rng
 
 let check = Alcotest.check
@@ -483,33 +482,43 @@ let test_local_delivery_never_lost () =
   Net.run net;
   check Alcotest.int "local immune to loss" 100 !got
 
-(* --- fault plans --- *)
+(* --- crash plans (Chaos.crashes) and one-off crashes --- *)
+
+(* the (site, at, downtime) of every event, all of which must be crashes *)
+let crash_triples plan =
+  List.map
+    (function
+      | Chaos.Crash { site; at; downtime } -> (site, at, downtime)
+      | _ -> Alcotest.fail "Chaos.crashes made a non-crash event")
+    plan
 
 let test_poisson_plan_bounds () =
   let rng = Rng.create 8L in
-  let plans = Fault.poisson_plan ~rng ~sites:[ 0; 1; 2 ] ~rate:0.1 ~mean_downtime:5.0 ~until:100.0 in
-  Alcotest.(check bool) "some crashes planned" true (List.length plans > 0);
+  let plan =
+    Chaos.crashes ~rng ~sites:[ 0; 1; 2 ] ~rate:0.1 ~mean_downtime:5.0 ~until:100.0
+  in
+  Alcotest.(check bool) "some crashes planned" true (List.length plan > 0);
   List.iter
-    (fun p ->
-      Alcotest.(check bool) "time in range" true (p.Fault.at >= 0.0 && p.Fault.at < 100.0);
-      Alcotest.(check bool) "positive downtime" true (p.Fault.downtime > 0.0))
-    plans
+    (fun (site, at, downtime) ->
+      Alcotest.(check bool) "site in range" true (site >= 0 && site <= 2);
+      Alcotest.(check bool) "time in range" true (at >= 0.0 && at < 100.0);
+      Alcotest.(check bool) "positive downtime" true (downtime > 0.0))
+    (crash_triples plan)
 
 let test_poisson_plan_no_overlap_per_site () =
   let rng = Rng.create 9L in
-  let plans = Fault.poisson_plan ~rng ~sites:[ 0 ] ~rate:0.5 ~mean_downtime:3.0 ~until:200.0 in
+  let plan = Chaos.crashes ~rng ~sites:[ 0 ] ~rate:0.5 ~mean_downtime:3.0 ~until:200.0 in
   let rec no_overlap = function
-    | a :: (b :: _ as rest) ->
-      Alcotest.(check bool) "crash after previous restart" true
-        (b.Fault.at >= a.Fault.at +. a.Fault.downtime);
+    | (_, at, downtime) :: ((_, at', _) :: _ as rest) ->
+      Alcotest.(check bool) "crash after previous restart" true (at' >= at +. downtime);
       no_overlap rest
     | _ -> ()
   in
-  no_overlap plans
+  no_overlap (crash_triples plan)
 
 let test_fault_apply () =
   let net = mk_net (Topology.line 2) in
-  Fault.crash_for net ~site:1 ~at:1.0 ~downtime:2.0;
+  Net.crash_for net ~site:1 ~at:1.0 ~downtime:2.0;
   Net.run ~until:0.5 net;
   Alcotest.(check bool) "up before" true (Net.site_up net 1);
   Net.run ~until:1.5 net;
@@ -520,7 +529,7 @@ let test_fault_apply () =
 let test_zero_rate_plan_empty () =
   let rng = Rng.create 1L in
   check Alcotest.int "no crashes at rate 0" 0
-    (List.length (Fault.poisson_plan ~rng ~sites:[ 0; 1 ] ~rate:0.0 ~mean_downtime:1.0 ~until:10.0))
+    (List.length (Chaos.crashes ~rng ~sites:[ 0; 1 ] ~rate:0.0 ~mean_downtime:1.0 ~until:10.0))
 
 let test_route_cache_invalidated_by_restart () =
   (* routes computed while a site is down must be recomputed once it is
@@ -688,25 +697,6 @@ let test_partition_reason_while_any_cut () =
   check Alcotest.int "no route even without the cut" 1 (drop_count net "no-route");
   check Alcotest.int "partition count unchanged" 3 (drop_count net "partition")
 
-let test_fault_apply_idempotent () =
-  (* two overlapping plans for one site: the second crash fires while the
-     site is already down and is skipped together with its paired restart,
-     so the first fault's downtime is not cut short *)
-  let net = mk_net (Topology.line 2) in
-  Fault.apply net
-    [
-      { Fault.site = 1; at = 1.0; downtime = 10.0 };
-      { Fault.site = 1; at = 2.0; downtime = 1.0 };
-    ];
-  Net.run ~until:5.0 net;
-  Alcotest.(check bool) "still down at t=5 (short restart skipped)" false
-    (Net.site_up net 1);
-  Net.run ~until:12.0 net;
-  Alcotest.(check bool) "up after the first fault's downtime" true (Net.site_up net 1);
-  check Alcotest.int "skip counted" 1
-    (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("site", "1") ]
-       "fault.skipped_crashes")
-
 let test_link_loss_override () =
   let net = Net.create ~seed:9L (Topology.line 2) in
   Net.set_link_loss net 0 1 (Some 0.999);
@@ -749,14 +739,14 @@ let test_trace_records () =
   let net = Net.create ~trace:true (Topology.line 2) in
   Net.send net ~src:0 ~dst:1 ~size:10 (Message.Ping "x");
   Net.run net;
-  let entries = Trace.entries (Net.trace net) in
-  Alcotest.(check bool) "send and deliver traced" true (List.length entries >= 2)
+  let names = List.map (fun (e : Obs.Event.t) -> e.name) (Obs.Tracer.events (Net.recorder net)) in
+  check Alcotest.(list string) "send and deliver traced" [ "net.send"; "net.deliver" ] names
 
 let test_trace_disabled_by_default () =
   let net = Net.create (Topology.line 2) in
   Net.send net ~src:0 ~dst:1 ~size:10 (Message.Ping "x");
   Net.run net;
-  check Alcotest.int "no entries" 0 (List.length (Trace.entries (Net.trace net)))
+  check Alcotest.int "no events" 0 (List.length (Obs.Tracer.events (Net.recorder net)))
 
 (* --- property: routing optimality on random graphs --- *)
 
@@ -881,7 +871,6 @@ let () =
           Alcotest.test_case "poisson bounds" `Quick test_poisson_plan_bounds;
           Alcotest.test_case "no per-site overlap" `Quick test_poisson_plan_no_overlap_per_site;
           Alcotest.test_case "apply plan" `Quick test_fault_apply;
-          Alcotest.test_case "apply is idempotent" `Quick test_fault_apply_idempotent;
           Alcotest.test_case "zero rate" `Quick test_zero_rate_plan_empty;
         ] );
       ( "trace",
