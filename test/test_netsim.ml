@@ -697,6 +697,24 @@ let test_partition_reason_while_any_cut () =
   check Alcotest.int "no route even without the cut" 1 (drop_count net "no-route");
   check Alcotest.int "partition count unchanged" 3 (drop_count net "partition")
 
+let test_fault_apply_idempotent () =
+  (* two overlapping crashes of one site: the second fires while the site
+     is already down and is skipped together with its paired restart, so
+     the first crash's downtime is not cut short *)
+  let net = mk_net (Topology.line 2) in
+  Chaos.apply net
+    [
+      Chaos.Crash { site = 1; at = 1.0; downtime = 10.0 };
+      Chaos.Crash { site = 1; at = 2.0; downtime = 1.0 };
+    ];
+  Net.run ~until:5.0 net;
+  Alcotest.(check bool) "still down at t=5 (short restart skipped)" false
+    (Net.site_up net 1);
+  Net.run ~until:12.0 net;
+  Alcotest.(check bool) "up after the first crash's downtime" true (Net.site_up net 1);
+  check Alcotest.int "skip counted" 1
+    (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("kind", "crash") ] "chaos.skipped")
+
 let test_link_loss_override () =
   let net = Net.create ~seed:9L (Topology.line 2) in
   Net.set_link_loss net 0 1 (Some 0.999);
@@ -871,6 +889,7 @@ let () =
           Alcotest.test_case "poisson bounds" `Quick test_poisson_plan_bounds;
           Alcotest.test_case "no per-site overlap" `Quick test_poisson_plan_no_overlap_per_site;
           Alcotest.test_case "apply plan" `Quick test_fault_apply;
+          Alcotest.test_case "apply is idempotent" `Quick test_fault_apply_idempotent;
           Alcotest.test_case "zero rate" `Quick test_zero_rate_plan_empty;
         ] );
       ( "trace",
