@@ -49,6 +49,26 @@ let bench_cabinet_contains =
   Test.make ~name:"e3 cabinet contains (1024, hash)"
     (Staged.stage (fun () -> ignore (Cabinet.contains c "F" "absent")))
 
+(* E3 moves: either way the contents travel as an encoded briefcase and
+   are decoded on arrival; a cabinet also rebuilds its index there *)
+let e3_move_briefcase () =
+  let bc = Briefcase.create () in
+  Folder.replace (Briefcase.folder bc "F") (elements 1024);
+  bc
+
+let bench_folder_move =
+  let bc = e3_move_briefcase () in
+  Test.make ~name:"e3 folder move (1024, code)"
+    (Staged.stage (fun () -> ignore (Briefcase.deserialize (Briefcase.serialize bc))))
+
+let bench_cabinet_move =
+  let bc = e3_move_briefcase () in
+  Test.make ~name:"e3 cabinet move (1024, code + index)"
+    (Staged.stage (fun () ->
+         let arrived = Briefcase.deserialize (Briefcase.serialize bc) in
+         let cab = Cabinet.create () in
+         Cabinet.replace cab "F" (Folder.to_list (Briefcase.folder arrived "F"))))
+
 (* E4: cash validation *)
 let bench_mint_validate =
   let mint = Cash.Mint.create ~secret:"bench" () in
@@ -251,6 +271,8 @@ let all_benches =
       bench_interp_string_growth;
       bench_folder_contains;
       bench_cabinet_contains;
+      bench_folder_move;
+      bench_cabinet_move;
       bench_mint_validate;
       bench_policy_choose;
       bench_guard_snapshot;
@@ -320,29 +342,9 @@ let () =
     find (Array.to_list Sys.argv)
   in
   let json_out = find_opt_arg "--json" in
-  (* --jobs N: one pool task per benchmark.  Each staged closure only
-     touches state built for that benchmark, so samples can run
-     concurrently; the result *structure* (names, row order after the sort)
-     is identical to serial — only the timings themselves feel the sharing
-     of cores, which is why CI measures with --jobs 1 and uses --jobs for
-     smoke runs. *)
-  let jobs =
-    match find_opt_arg "--jobs" with
-    | None -> 1
-    | Some v -> ( match int_of_string_opt v with Some n when n >= 0 -> n | _ -> 1)
-  in
   let quota = if quick then Time.millisecond 50. else Time.second 0.5 in
   let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 1000) () in
-  let rows =
-    if jobs = 1 then measure cfg (Test.make_grouped ~name:"tacoma" all_benches)
-    else
-      Tacoma_util.Pool.with_pool ~jobs (fun pool ->
-          Tacoma_util.Pool.map pool
-            (fun bench -> measure cfg (Test.make_grouped ~name:"tacoma" [ bench ]))
-            all_benches)
-      |> List.concat
-  in
-  let rows = List.sort compare rows in
+  let rows = List.sort compare (measure cfg (Test.make_grouped ~name:"tacoma" all_benches)) in
   Printf.printf "%-50s | %15s\n" "benchmark" "ns/run";
   Printf.printf "%s\n" (String.make 70 '-');
   List.iter (fun (name, est) -> Printf.printf "%-50s | %15.1f\n" name est) rows;

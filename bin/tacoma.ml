@@ -32,7 +32,7 @@ let launch_script k code =
 (* --- exp: regenerate experiment tables ------------------------------------ *)
 
 let exp_cmd =
-  let run jobs ids =
+  let run ids =
     match ids with
     | [] ->
       Format.fprintf fmt "Available experiments:@.";
@@ -43,7 +43,7 @@ let exp_cmd =
         Experiments.Registry.all;
       `Ok ()
     | [ "all" ] ->
-      Experiments.Registry.run_all ~jobs fmt;
+      Experiments.Registry.run_all fmt;
       `Ok ()
     | ids -> (
       match
@@ -52,14 +52,14 @@ let exp_cmd =
       | Some bad -> `Error (false, Printf.sprintf "unknown experiment %S (try `tacoma exp')" bad)
       | None ->
         let entries = List.filter_map Experiments.Registry.find ids in
-        Experiments.Registry.run ~jobs entries fmt;
+        Experiments.Registry.run entries fmt;
         `Ok ())
   in
   let open Cmdliner in
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (e1..e10, abl) or 'all'.") in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate experiment tables (no arguments lists them).")
-    Term.(ret (const run $ Tacoma_cli.jobs_term $ ids))
+    Term.(ret (const run $ ids))
 
 (* --- run: execute a TScript agent on a simulated network ------------------- *)
 

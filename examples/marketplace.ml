@@ -55,7 +55,7 @@ let () =
 
   (* alice's wallet *)
   let wallet = Wallet.create () in
-  Wallet.add_all wallet (List.init 4 (fun _ -> Mint.issue mint ~amount:50));
+  List.iter (Wallet.add wallet) (List.init 4 (fun _ -> Mint.issue mint ~amount:50));
   Printf.printf "alice's balance: %d cents in %d bills\n" (Wallet.balance wallet)
     (Wallet.count wallet);
 

@@ -49,8 +49,6 @@ val judge :
 
 (** {1 Agents} *)
 
-val witness_log_folder : string
-
 val install_witness : Tacoma_core.Kernel.t -> site:Netsim.Site.id -> unit
 (** Registers the [witness] agent: it appends the briefcase's [STMT] to its
     site cabinet log and forwards the briefcase to [FORWARD-HOST] /

@@ -2,7 +2,6 @@ type t = { mutable bills : Ecu.t list }
 
 let create () = { bills = [] }
 let add t e = t.bills <- e :: t.bills
-let add_all t es = List.iter (add t) es
 let balance t = Ecu.total t.bills
 let bills t = t.bills
 let count t = List.length t.bills

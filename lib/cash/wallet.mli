@@ -6,7 +6,6 @@ type t
 
 val create : unit -> t
 val add : t -> Ecu.t -> unit
-val add_all : t -> Ecu.t list -> unit
 val balance : t -> int
 val bills : t -> Ecu.t list
 val count : t -> int
@@ -17,8 +16,6 @@ val take_exact : t -> amount:int -> Ecu.t list option
 
 val take_at_least : t -> amount:int -> Ecu.t list option
 (** Remove a minimal-overshoot subset covering [amount]. *)
-
-val remove_serials : t -> string list -> unit
 
 (** {1 Briefcase plumbing}
 

@@ -45,8 +45,6 @@ let find_opt t name = Option.bind (folder_opt t name) Folder.peek
 let get t name =
   match find_opt t name with Some v -> v | None -> raise Not_found
 
-let get_exn = get
-
 let byte_size t =
   (* mirrors [serialize]: 4-byte folder count, then per folder the encoded
      name and encoded element list *)

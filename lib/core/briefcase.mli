@@ -63,9 +63,6 @@ val find_opt : t -> string -> string option
 val get : t -> string -> string
 (** @raise Not_found when the folder is absent or empty. *)
 
-val get_exn : t -> string -> string
-  [@@deprecated "use Briefcase.get (same behaviour); get_exn goes away next release"]
-
 (** {1 Wire format} *)
 
 val byte_size : t -> int

@@ -38,5 +38,4 @@ let read_strings r =
   if n > String.length r.src - r.pos then raise (Malformed "implausible count");
   List.init n (fun _ -> read_string r)
 
-let at_end r = r.pos >= String.length r.src
 let encoded_size s = 4 + String.length s

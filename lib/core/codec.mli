@@ -26,7 +26,6 @@ val read_string : reader -> string
 (** @raise Malformed on truncated input. *)
 
 val read_strings : reader -> string list
-val at_end : reader -> bool
 
 val encoded_size : string -> int
 (** Wire size of one encoded string. *)

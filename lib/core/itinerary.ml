@@ -1,5 +1,7 @@
 module Net = Netsim.Net
 
+(* idle-network latency between two sites right now, [None] when
+   unreachable *)
 let hop_cost kernel a b = Net.delivery_delay (Kernel.net kernel) a b ~size:0
 
 let plan kernel ~from sites =

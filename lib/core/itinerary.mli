@@ -5,10 +5,6 @@
     than site number; this module plans tours over the current topology and
     converts between site lists and the name lists that live in folders. *)
 
-val hop_cost : Kernel.t -> Netsim.Site.id -> Netsim.Site.id -> float option
-(** Idle-network latency between two sites right now ([None] when
-    unreachable). *)
-
 val plan :
   Kernel.t -> from:Netsim.Site.id -> Netsim.Site.id list -> Netsim.Site.id list
 (** Greedy nearest-neighbour tour: starting at [from], repeatedly visit the

@@ -312,7 +312,6 @@ and run_code ctx ~code bc =
      | Ok _ -> ()
      | Error msg -> raise (Agent_error (Printf.sprintf "prelude: %s" msg)));
   let sim0 = now t in
-  let wall0 = Sys.time () in
   (* the interpreter's shape counters feed per-agent histograms; recorded on
      every exit path (including Resource_exhausted and effect aborts) *)
   let observe_profile () =
@@ -321,7 +320,6 @@ and run_code ctx ~code bc =
     Obs.Metrics.incr m ~labels "interp.runs";
     Obs.Metrics.observe m ~labels "interp.steps" (float_of_int (Tscript.Interp.steps_used it));
     Obs.Metrics.observe m ~labels "interp.sim_s" (now t -. sim0);
-    Obs.Metrics.observe m ~labels "interp.wall_s" (Sys.time () -. wall0);
     let p = Tscript.Interp.profile it in
     Obs.Metrics.observe m ~labels "interp.proc_calls" (float_of_int p.Tscript.Interp.proc_calls);
     Obs.Metrics.observe m ~labels "interp.proc_depth" (float_of_int p.Tscript.Interp.max_depth);

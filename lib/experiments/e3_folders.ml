@@ -4,68 +4,42 @@ module Cabinet = Tacoma_core.Cabinet
 
 type row = {
   elements : int;
-  folder_lookup_ns : float;
-  cabinet_lookup_ns : float;
-  lookup_speedup : float;
-  folder_move_us : float;
-  cabinet_move_us : float;
-  move_penalty : float;
+  folder_compares : float;
+  move_bytes : int;
+  cabinet_inserts : int;
 }
-
-(* wall-clock micro timing; repetitions scale down with op cost so each
-   measurement takes a few milliseconds *)
-let time_ns reps f =
-  let t0 = Sys.time () in
-  for _ = 1 to reps do
-    f ()
-  done;
-  (Sys.time () -. t0) *. 1e9 /. float_of_int reps
 
 let element i = Printf.sprintf "element-%08d-%s" i (String.make 16 'x')
 
 let measure n =
   let elems = List.init n element in
   let folder = Folder.of_list elems in
+  (* look for elements spread across the folder, including a miss *)
+  let probes = [ element 0; element (n / 2); element (n - 1); "absent-element" ] in
+  (* [Folder.contains] scans head first and stops at the first match; a
+     miss compares every element *)
+  let scanned p =
+    match List.find_index (String.equal p) (Folder.to_list folder) with
+    | Some i -> i + 1
+    | None -> Folder.length folder
+  in
+  let folder_compares =
+    float_of_int (List.fold_left (fun a p -> a + scanned p) 0 probes)
+    /. float_of_int (List.length probes)
+  in
+  (* either way the contents travel as one encoded briefcase, decoded at
+     the destination; a cabinet must also rebuild its index there *)
   let bc = Briefcase.create () in
   Folder.replace (Briefcase.folder bc "F") elems;
-  let cab = Cabinet.create () in
-  Cabinet.replace cab "F" elems;
-  (* look for elements spread across the folder, including misses *)
-  let probes =
-    [ element 0; element (n / 2); element (n - 1); "absent-element" ]
-  in
-  let lookup_reps = max 200 (200_000 / n) in
-  let folder_lookup_ns =
-    time_ns lookup_reps (fun () ->
-        List.iter (fun p -> ignore (Folder.contains folder p)) probes)
-    /. float_of_int (List.length probes)
-  in
-  let cabinet_lookup_ns =
-    time_ns (lookup_reps * 16) (fun () ->
-        List.iter (fun p -> ignore (Cabinet.contains cab "F" p)) probes)
-    /. float_of_int (List.length probes)
-  in
-  let move_reps = max 20 (20_000 / n) in
-  (* moving a folder: serialise the briefcase that carries it *)
-  let folder_move_us = time_ns move_reps (fun () -> ignore (Briefcase.serialize bc)) /. 1e3 in
-  (* moving a cabinet: serialise the same contents AND rebuild the index at
-     the destination *)
-  let cabinet_move_us =
-    time_ns move_reps (fun () ->
-        let wire = Briefcase.serialize bc in
-        let arrived = Briefcase.deserialize wire in
-        let rebuilt = Cabinet.create () in
-        Cabinet.replace rebuilt "F" (Folder.to_list (Briefcase.folder arrived "F")))
-    /. 1e3
-  in
+  let wire = Briefcase.serialize bc in
+  let arrived = Briefcase.deserialize wire in
+  let rebuilt = Cabinet.create () in
+  Cabinet.replace rebuilt "F" (Folder.to_list (Briefcase.folder arrived "F"));
   {
     elements = n;
-    folder_lookup_ns;
-    cabinet_lookup_ns;
-    lookup_speedup = folder_lookup_ns /. Float.max 1.0 cabinet_lookup_ns;
-    folder_move_us;
-    cabinet_move_us;
-    move_penalty = cabinet_move_us /. Float.max 0.001 folder_move_us;
+    folder_compares;
+    move_bytes = 2 * String.length wire;
+    cabinet_inserts = Cabinet.size rebuilt "F";
   }
 
 let default_sizes = [ 256; 1024; 4096; 16384 ]
@@ -75,21 +49,20 @@ let run ?(sizes = default_sizes) () = List.map measure sizes
 let print_table fmt =
   let rows = run () in
   Table.render fmt
-    ~title:"E3 folders vs cabinets: the mobility/access-time trade (host time)"
+    ~title:"E3 folders vs cabinets: the mobility/access trade (counted work)"
     ~header:
       [
-        "elements"; "folder lookup ns"; "cabinet lookup ns"; "lookup speedup";
-        "folder move us"; "cabinet move us"; "move penalty";
+        "elements"; "folder compares/lookup"; "cabinet probes/lookup"; "bytes coded/move";
+        "cabinet index inserts/move";
       ]
     (List.map
        (fun r ->
          [
            Table.I r.elements;
-           Table.F2 r.folder_lookup_ns;
-           Table.F2 r.cabinet_lookup_ns;
-           Table.F2 r.lookup_speedup;
-           Table.F2 r.folder_move_us;
-           Table.F2 r.cabinet_move_us;
-           Table.F2 r.move_penalty;
+           Table.F2 r.folder_compares;
+           (* a cabinet lookup is one probe of the folder's hash index *)
+           Table.I 1;
+           Table.I r.move_bytes;
+           Table.I r.cabinet_inserts;
          ])
        rows)

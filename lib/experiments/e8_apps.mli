@@ -37,7 +37,6 @@ type latency_row = {
 }
 
 val run_stormcast : ?stations:int -> ?hours:int -> unit -> stormcast_row list
-val run_mail : unit -> mail_row list
 
 val run_latency : ?stations:int -> ?hours:int -> unit -> latency_row list
 (** {b E8c}: resident monitor agents (push) versus the roaming collector

@@ -7,5 +7,3 @@ type cell = S of string | I of int | F of float | F2 of float | Pct of float
 val render : Format.formatter -> title:string -> header:string list -> cell list list -> unit
 (** Column widths are computed from the contents; [F] prints with 4
     significant decimals, [F2] with 2, [Pct] as a percentage. *)
-
-val cell_to_string : cell -> string

@@ -28,7 +28,6 @@ type member = {
   mutable gseq_counter : int; (* used while coordinator *)
   last_heard : (int, float) Hashtbl.t;
   mutable deliver_cb : (sender:int -> string -> unit) option;
-  mutable view_cb : (View.t -> unit) option;
   mutable state_provider : (unit -> string) option;
   mutable state_cb : (string -> unit) option;
   mutable tick_timer : Engine.timer option;
@@ -52,19 +51,10 @@ let view_at t site =
   | Some m when m.alive -> Some m.view
   | Some _ | None -> None
 
-let member_sites t =
-  Hashtbl.fold (fun site m acc -> if m.alive then site :: acc else acc) t.endpoints []
-  |> List.sort compare
-
 let on_deliver t site cb =
   match endpoint t site with
   | Some m -> m.deliver_cb <- Some (fun ~sender data -> cb ~sender data)
   | None -> invalid_arg "Group.on_deliver: not a member"
-
-let on_view t site cb =
-  match endpoint t site with
-  | Some m -> m.view_cb <- Some cb
-  | None -> invalid_arg "Group.on_view: not a member"
 
 let set_state_provider t site f =
   match endpoint t site with
@@ -127,8 +117,7 @@ let adopt_view t m view =
     if view.View.id > t.latest_view.View.id then t.latest_view <- view;
     (* forget suspicion state for departed members *)
     Hashtbl.reset m.last_heard;
-    List.iter (fun s -> Hashtbl.replace m.last_heard s (Net.now t.net)) view.View.members;
-    match m.view_cb with None -> () | Some cb -> cb view
+    List.iter (fun s -> Hashtbl.replace m.last_heard s (Net.now t.net)) view.View.members
   end
 
 let broadcast_view t m view =
@@ -245,7 +234,6 @@ let make_member t site view =
       gseq_counter = 0;
       last_heard = Hashtbl.create 8;
       deliver_cb = None;
-      view_cb = None;
       state_provider = None;
       state_cb = None;
       tick_timer = None;

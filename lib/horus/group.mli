@@ -41,8 +41,6 @@ val view_at : t -> Netsim.Site.id -> View.t option
 (** {1 Callbacks} — registered per member site. *)
 
 val on_deliver : t -> Netsim.Site.id -> (sender:Netsim.Site.id -> string -> unit) -> unit
-val on_view : t -> Netsim.Site.id -> (View.t -> unit) -> unit
-
 val set_state_provider : t -> Netsim.Site.id -> (unit -> string) -> unit
 (** Called at the coordinator when a joiner needs to catch up. *)
 
@@ -58,6 +56,3 @@ val mcast : t -> from:Netsim.Site.id -> ?total:bool -> string -> unit
 
 val rejoin : t -> Netsim.Site.id -> unit
 (** Ask the current coordinator to re-admit this (restarted) site. *)
-
-val member_sites : t -> Netsim.Site.id list
-(** Sites holding an active endpoint right now. *)

@@ -93,6 +93,8 @@ let crashes ~rng ~sites ~rate ~mean_downtime ~until =
         gen [] 0.0)
       sites
 
+(* single random links go down for exponential windows, arriving as a
+   net-wide Poisson process with [rate] *)
 let flapping ~rng ~topo ~rate ~mean_downtime ~until =
   let links = links_of topo in
   if Array.length links = 0 then []
@@ -129,6 +131,8 @@ let random_cut rng topo =
     List.rev !crossing
   end
 
+(* clean partitions: each event draws a random proper site cut and takes
+   down every crossing link for the window *)
 let bisections ~rng ~topo ~rate ~mean_downtime ~until =
   List.filter_map
     (fun at ->
@@ -137,6 +141,8 @@ let bisections ~rng ~topo ~rate ~mean_downtime ~until =
       if links = [] then None else Some (Cut { links; at; duration; label = "bisection" }))
     (arrivals rng ~rate ~until)
 
+(* loss windows at [loss] probability; each burst hits either one random
+   link or the whole net (even odds) *)
 let loss_bursts ~rng ~topo ~rate ~mean_duration ~loss ~until =
   let links = links_of topo in
   List.map

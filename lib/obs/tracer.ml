@@ -1,5 +1,5 @@
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   ring : Event.t Ring.t;
   mutable next_trace : int;
   mutable next_span : int;
@@ -10,7 +10,6 @@ let create ?(capacity = 65536) ?(enabled = false) () =
   { enabled; ring = Ring.create capacity; next_trace = 1; next_span = 1; seq = 0 }
 
 let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 
 let record t ~time ~kind ~name ~cat ~site ~agent ~span ~parent_id ~msg ~attrs =
   let seq = t.seq in

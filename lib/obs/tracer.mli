@@ -15,7 +15,6 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
     records nothing allocates none of it.  [enabled] defaults to [false]. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val start_span :
   t ->

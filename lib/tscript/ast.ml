@@ -25,27 +25,3 @@ and 'fn command = {
 and 'fn script = 'fn command list
 
 let command words = { words; c_id = -1; c_epoch = -1; c_fn = None }
-
-let rec pp_fragment fmt = function
-  | Lit s -> Format.fprintf fmt "Lit(%S)" s
-  | Var v -> Format.fprintf fmt "Var(%s)" v
-  | VarElem (v, idx) ->
-    Format.fprintf fmt "VarElem(%s, [%a])" v
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp_fragment)
-      idx
-  | Cmd s -> Format.fprintf fmt "Cmd(%a)" pp_script s
-
-and pp_word fmt = function
-  | Braced s -> Format.fprintf fmt "Braced(%S)" s
-  | Frags fs ->
-    Format.fprintf fmt "Frags[%a]"
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp_fragment)
-      fs
-
-and pp_command fmt cmd =
-  Format.fprintf fmt "(%a)"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f " ") pp_word)
-    cmd.words
-
-and pp_script fmt script =
-  Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ";@ ") pp_command fmt script

@@ -38,6 +38,3 @@ and 'fn script = 'fn command list
 
 val command : 'fn word list -> 'fn command
 (** Build a command node with an empty cache slot. *)
-
-val pp_script : Format.formatter -> 'fn script -> unit
-(** Debug printer. *)

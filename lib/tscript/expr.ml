@@ -631,4 +631,3 @@ let eval_ast_bool ~lookup ~eval_cmd ast = truthy_num (eval_node ~lookup ~eval_cm
 
 (* one-shot conveniences: compile + evaluate, no cache *)
 let eval ~lookup ~eval_cmd src = eval_ast ~lookup ~eval_cmd (compile src)
-let eval_bool ~lookup ~eval_cmd src = eval_ast_bool ~lookup ~eval_cmd (compile src)

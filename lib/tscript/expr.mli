@@ -51,9 +51,3 @@ val eval :
   string ->
   string
 (** [compile] + [eval_ast] in one shot, no caching. *)
-
-val eval_bool :
-  lookup:(string -> string) ->
-  eval_cmd:(string -> string) ->
-  string ->
-  bool

@@ -37,7 +37,7 @@ and t = {
   global_arrays : (string, (string, string) Hashtbl.t) Hashtbl.t;
   mutable frames : frame list; (* innermost first; [] means global scope *)
   mutable steps : int;
-  mutable limit : int option;
+  limit : int option;
   mutable depth : int;
   max_depth : int;
   mutable prof_commands : int;
@@ -282,9 +282,7 @@ let charge t n =
   | Some _ | None -> ()
 
 let steps_used t = t.steps
-let set_step_limit t l = t.limit <- l
 let step_limit t = t.limit
-let reset_steps t = t.steps <- 0
 
 (* ---- parsing and expression compilation, cached ------------------------ *)
 
@@ -455,9 +453,6 @@ let eval t src =
   | exception Break_exc -> Error "invoked \"break\" outside of a loop"
   | exception Continue_exc -> Error "invoked \"continue\" outside of a loop"
 
-let eval_exn t src =
-  match eval t src with Ok v -> v | Error msg -> raise (Error_exc msg)
-
 let call t name args = dispatch t name args
 
 (* ---- host command API --------------------------------------------------- *)
@@ -471,7 +466,6 @@ let unregister t name =
   Hashtbl.remove t.commands name;
   Hashtbl.remove t.proc_bodies name
 
-let has_command t name = Hashtbl.mem t.commands name
 let command_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.commands []
 
 let set_output t fn = t.output <- fn

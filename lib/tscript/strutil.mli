@@ -12,4 +12,3 @@ val split : string -> on:string -> string list
 (** Split at any character present in [on]; [on = ""] splits into
     characters.  Adjacent separators produce empty fields (Tcl semantics). *)
 
-val common_prefix : string -> string -> int

@@ -21,27 +21,3 @@ let percentile p xs =
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     let idx = max 0 (min (n - 1) (rank - 1)) in
     arr.(idx)
-
-let min_max xs =
-  match xs with
-  | [] -> (0.0, 0.0)
-  | x :: rest ->
-    List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) rest
-
-type accumulator = {
-  mutable count : int;
-  mutable m : float; (* running mean *)
-  mutable s : float; (* running sum of squared deviations *)
-}
-
-let acc_create () = { count = 0; m = 0.0; s = 0.0 }
-
-let acc_add a x =
-  a.count <- a.count + 1;
-  let delta = x -. a.m in
-  a.m <- a.m +. (delta /. float_of_int a.count);
-  a.s <- a.s +. (delta *. (x -. a.m))
-
-let acc_count a = a.count
-let acc_mean a = a.m
-let acc_stddev a = if a.count < 2 then 0.0 else sqrt (a.s /. float_of_int a.count)

@@ -10,16 +10,4 @@ val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,100\]], nearest-rank on the sorted
     data; 0.0 on the empty list. *)
 
-val min_max : float list -> float * float
-(** (0., 0.) on the empty list. *)
-
 val sum : float list -> float
-
-type accumulator
-(** Streaming accumulator (Welford) for long-running collections. *)
-
-val acc_create : unit -> accumulator
-val acc_add : accumulator -> float -> unit
-val acc_count : accumulator -> int
-val acc_mean : accumulator -> float
-val acc_stddev : accumulator -> float
